@@ -1,10 +1,10 @@
 //! Engine deployment-API benches: what the builder buys you.
 //!
-//! * `engine_setup/*` — per-image host cost of the one-shot legacy
-//!   `run_hybrid` (re-plans + re-quantizes every call) vs a reused
+//! * `engine_setup/*` — per-image host cost of a reused
 //!   `Engine::infer` (planning + quantization amortized at build), at
 //!   CIFAR spatial extent (32×32, numerics-dominated) and at thumbnail
-//!   extent (8×8, where the fixed setup cost is a visible fraction);
+//!   extent (8×8, where `engine_build`'s fixed cost would be a visible
+//!   fraction of a per-call build);
 //! * `engine_batch/*` — `infer_batch` throughput at batch 1/8/32;
 //! * `engine_build` — the one-time cost being amortized.
 
@@ -15,8 +15,6 @@ use std::time::Duration;
 use tensor::{Shape4, Tensor};
 use zynq_sim::engine::{Engine, Offload};
 use zynq_sim::planner::OffloadTarget;
-use zynq_sim::timing::{PlModel, PsModel};
-use zynq_sim::PYNQ_Z2;
 
 fn deployment() -> Network {
     Network::new(NetSpec::new(Variant::ROdeNet3, 20).with_classes(100), 11)
@@ -30,20 +28,6 @@ fn bench_setup_amortization(c: &mut Criterion) {
     g.warm_up_time(Duration::from_secs(1));
     for hw in [32usize, 8] {
         let x = random_tensor(Shape4::new(1, 3, hw, hw), 12);
-        g.bench_with_input(BenchmarkId::new("one_shot_run_hybrid", hw), &(), |b, _| {
-            b.iter(|| {
-                #[allow(deprecated)]
-                let run = zynq_sim::run_hybrid(
-                    &net,
-                    &x,
-                    OffloadTarget::Layer32,
-                    &PsModel::Calibrated,
-                    &PlModel::default(),
-                    &PYNQ_Z2,
-                );
-                black_box(run)
-            })
-        });
         let engine = Engine::builder(&net)
             .offload(Offload::Target(OffloadTarget::Layer32))
             .build()

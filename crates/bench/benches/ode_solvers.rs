@@ -1,8 +1,6 @@
-//! Cost of the ODE solvers per solve on block-shaped states, and the
-//! adaptive solver's evaluation budget.
+//! Cost of the fixed-step ODE solvers per solve on block-shaped states.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use odesolve::adaptive::{rkf45, AdaptiveOpts};
 use odesolve::{ode_solve, ClosureField, Method, SolveOpts};
 use std::time::Duration;
 use tensor::{Shape4, Tensor};
@@ -28,15 +26,5 @@ fn bench_fixed_step(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_adaptive(c: &mut Criterion) {
-    let field = ClosureField::new(|z: &Tensor<f32>, t: f32| z.map(|v| (t - 0.5) * v - 0.1 * v * v));
-    let z0 = Tensor::from_fn(Shape4::new(1, 16, 8, 8), |_, c, h, w| {
-        ((c + h + w) % 5) as f32 * 0.1 - 0.2
-    });
-    c.bench_function("rkf45_default_tol", |b| {
-        b.iter(|| black_box(rkf45(&field, &z0, 0.0, 1.0, AdaptiveOpts::default())))
-    });
-}
-
-criterion_group!(benches, bench_fixed_step, bench_adaptive);
+criterion_group!(benches, bench_fixed_step);
 criterion_main!(benches);

@@ -23,7 +23,8 @@
 //!                 format lets the planner place, from cached plans
 //!   energy        Extension: first-order energy-per-inference model
 //!   engine        Extension: Engine deployment API — setup amortization
-//!                 (one-shot vs reused) and batch serving throughput
+//!                 (one-time build vs reused infer) and batch serving
+//!                 throughput
 //!   cluster       Extension: multi-board sharding — 1-board vs 2-board
 //!                 Table-5-style comparison and the pipelined batch
 //!                 schedule vs the additive one
@@ -866,8 +867,8 @@ fn engine_cmd(seed: u64) {
     use std::time::Instant;
     use zynq_sim::engine::{BatchSummary, Engine, Offload};
     // Extension: the Engine deployment API. Two things to show:
-    // (1) host-side setup amortization — the legacy free function
-    //     re-plans and re-quantizes per call, the engine once;
+    // (1) host-side setup amortization — the engine plans and
+    //     quantizes once at build, then every infer reuses that;
     // (2) batch serving — accumulated modelled PS/PL/DMA timing.
     let mut rng = StdRng::seed_from_u64(seed);
     let net = Network::new(NetSpec::new(Variant::ROdeNet3, 20).with_classes(10), seed);
@@ -889,24 +890,18 @@ fn engine_cmd(seed: u64) {
     println!("\n## Engine deployment API\n");
     println!("configuration: {}", engine.describe());
 
-    // (1) one-shot legacy path vs reused engine, host wall-clock.
+    // (1) one-time build vs reused engine, host wall-clock.
     let reps = 10usize;
     let t0 = Instant::now();
     for _ in 0..reps {
-        for x in &images {
-            #[allow(deprecated)]
-            let run = zynq_sim::run_hybrid(
-                &net,
-                x,
-                OffloadTarget::Layer32,
-                &PsModel::Calibrated,
-                &PlModel::default(),
-                &PYNQ_Z2,
-            );
-            std::hint::black_box(run);
-        }
+        std::hint::black_box(
+            Engine::builder(&net)
+                .offload(Offload::Target(OffloadTarget::Layer32))
+                .build()
+                .expect("layer3_2 fits the fabric"),
+        );
     }
-    let one_shot = t0.elapsed().as_secs_f64() / (reps * images.len()) as f64;
+    let build = t0.elapsed().as_secs_f64() / reps as f64;
     let t1 = Instant::now();
     for _ in 0..reps {
         for x in &images {
@@ -915,18 +910,16 @@ fn engine_cmd(seed: u64) {
     }
     let reused = t1.elapsed().as_secs_f64() / (reps * images.len()) as f64;
     let mut t = Table::new(
-        "Engine setup amortization (host wall-clock per image, rODENet-3-20)",
-        &["Path", "ms/image", "vs one-shot"],
+        "Engine setup amortization (host wall-clock, rODENet-3-20)",
+        &["Step", "ms"],
     );
     t.row(vec![
-        "one-shot run_hybrid".into(),
-        format!("{:.2}", one_shot * 1e3),
-        "1.00x".into(),
+        "Engine::build (once)".into(),
+        format!("{:.2}", build * 1e3),
     ]);
     t.row(vec![
-        "reused Engine::infer".into(),
+        "Engine::infer (per image)".into(),
         format!("{:.2}", reused * 1e3),
-        format!("{:.2}x", one_shot / reused.max(f64::MIN_POSITIVE)),
     ]);
     t.emit("engine_amortization");
 

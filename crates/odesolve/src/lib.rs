@@ -7,8 +7,6 @@
 //!   prediction-time solver), [`Method::Midpoint`] (second-order
 //!   Runge–Kutta) and [`Method::Rk4`] (fourth-order), all generic over
 //!   the scalar type so the Q20 PL datapath can drive them;
-//! * [`adaptive::rkf45`] — an adaptive Runge–Kutta–Fehlberg 4(5) solver
-//!   (the "more accurate ODE solvers" of the paper's future work);
 //! * [`adjoint`] — the training-time gradient computations of
 //!   Equations 7–9: the memory-efficient **adjoint method** (backward
 //!   recomputation of z(t), constant memory) and the exact **unrolled**
@@ -29,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod adjoint;
 mod field;
 mod fixed_step;

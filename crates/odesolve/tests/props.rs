@@ -1,7 +1,6 @@
 //! Property tests for the solver crate: structural identities that hold
 //! for whole families of fields, not just the unit-test examples.
 
-use odesolve::adaptive::{rkf45, AdaptiveOpts};
 use odesolve::{ode_solve, ode_solve_trajectory, ClosureField, Method, SolveOpts};
 use proptest::prelude::*;
 use tensor::{Shape4, Tensor};
@@ -90,19 +89,6 @@ proptest! {
         let (e1, e2, e4) = (err(Method::Euler), err(Method::Midpoint), err(Method::Rk4));
         prop_assert!(e2 <= e1 * 1.05, "midpoint {e2} vs euler {e1}");
         prop_assert!(e4 <= e2 * 1.05, "rk4 {e4} vs midpoint {e2}");
-    }
-
-    /// The adaptive solver agrees with a fine fixed-step RK4 reference
-    /// for smooth scalar fields.
-    #[test]
-    fn adaptive_matches_fixed_reference(lam in -2.0f32..0.5, z0 in 0.2f32..2.0) {
-        let f = ClosureField::new(move |z: &Tensor<f32>, _t| z.map(|v| lam * v));
-        let reference = ode_solve(&f, &state(vec![z0]), SolveOpts::new(0.0, 1.0, 512, Method::Rk4));
-        let adaptive = rkf45(&f, &state(vec![z0]), 0.0, 1.0, AdaptiveOpts::default());
-        prop_assert!(
-            (reference.get(0, 0, 0, 0) - adaptive.z.get(0, 0, 0, 0)).abs() < 1e-4,
-            "λ={lam}"
-        );
     }
 
     /// Vector states integrate component-wise for diagonal fields.

@@ -57,19 +57,22 @@
 //! without changing it: a [`crate::fault::FaultPlan`] stretches stage
 //! durations (slowdowns), defers starts (hangs), dilates transfers
 //! (link degradation), or removes a board outright (crash →
-//! drain-then-replan failover over the survivors). An empty plan is
-//! bit-identical to [`pipelined_schedule_released`] by construction.
+//! drain-then-replan failover over the survivors). Healthy and faulted
+//! schedules run the same greedy loop, which takes the placement rule
+//! as a parameter; a plan without windows computes exactly the nominal
+//! rule's arithmetic, so an empty plan is bit-identical to
+//! [`pipelined_schedule_released`] by construction.
 
 use crate::board::Board;
 use crate::engine::{EngineError, Offload};
 use crate::partition::{partition_with, select_with, shard_infeasible, Partitioner};
-use crate::plan::{PlFormat, PlannedStage};
+use crate::plan::PlannedStage;
 use crate::planner::OffloadTarget;
 use crate::precision::StageFormats;
 use crate::replica::{ReplicaPlan, Replication};
 use crate::resources::{bram36_at_width, dsp_slices_at_width, modelled_lut_ff_at};
 use crate::timing::{PlModel, PsModel};
-use crate::trace::Recorder;
+use crate::trace::{Recorder, StageSpan};
 use rodenet::{BnMode, LayerName, NetSpec};
 
 /// A modelled board-to-board link (point-to-point, full duplex).
@@ -695,20 +698,71 @@ pub fn pipelined_schedule(timeline: &[StageTiming], images: usize) -> PipelineRu
 /// exactly). Releases must be sorted ascending so the oldest-image
 /// tie-break keeps arrival order.
 pub fn pipelined_schedule_released(timeline: &[StageTiming], releases: &[f64]) -> ServedRun {
-    pipelined_schedule_released_traced(timeline, releases, &mut Recorder::disabled())
+    schedule_with(timeline, releases, &Nominal, |_, _| {})
 }
 
 /// [`pipelined_schedule_released`] with an event [`Recorder`]: every
 /// stage execution and interconnect hand-off is recorded as a typed
-/// span in virtual time (see [`crate::trace`]). The public untraced
-/// entry points delegate here with a disabled recorder, whose hooks
-/// reduce to one inlined branch — recording never touches the
-/// scheduler's arithmetic, so the returned [`ServedRun`] is
+/// span in virtual time (see [`crate::trace`]). Recording only reads
+/// the spans the scheduler commits, so the returned [`ServedRun`] is
 /// bit-identical with tracing on or off (pinned in `tests/trace.rs`).
 pub fn pipelined_schedule_released_traced(
     timeline: &[StageTiming],
     releases: &[f64],
     rec: &mut Recorder,
+) -> ServedRun {
+    let run = schedule_with(timeline, releases, &Nominal, |span, _| {
+        rec.commit(&span, timeline[span.stage].transfer_in > 0.0)
+    });
+    let images = releases.len();
+    let utilization = crate::partition::resource_busy(timeline)
+        .into_iter()
+        .map(|(resource, busy)| (resource, busy * images as f64 / run.makespan))
+        .collect();
+    rec.run_summary(utilization, images, run.makespan);
+    run
+}
+
+/// Where and how long a pending stage runs: the rule the scheduler
+/// core consults at every placement decision. [`Nominal`] is the
+/// healthy rack; `crate::fault::FaultWindows` applies a fault plan's
+/// slowdown, hang and link-degrade windows.
+pub(crate) trait Placement {
+    /// `(hand-off seconds, start)` for `image` entering `stage` with its
+    /// input pending at `pending`, given the per-slot free instants.
+    fn start(&self, stage: &StageTiming, image: usize, pending: f64, free: &[f64]) -> (f64, f64);
+
+    /// Execution seconds of `stage` starting at `start` on `resource`.
+    fn seconds(&self, stage: &StageTiming, resource: StageResource, start: f64) -> f64;
+}
+
+/// The healthy rack: hand-offs and stages take their modelled seconds
+/// and a resource accepts work the moment it frees.
+pub(crate) struct Nominal;
+
+impl Placement for Nominal {
+    #[inline]
+    fn start(&self, stage: &StageTiming, image: usize, pending: f64, free: &[f64]) -> (f64, f64) {
+        let start = (pending + stage.transfer_in).max(free[stage.resource_for(image).slot()]);
+        (stage.transfer_in, start)
+    }
+
+    #[inline]
+    fn seconds(&self, stage: &StageTiming, _: StageResource, _: f64) -> f64 {
+        stage.seconds
+    }
+}
+
+/// The greedy event-driven scheduler behind every pipelined schedule,
+/// healthy or faulted: `rule` places each stage, and `on_span` sees
+/// every committed stage execution (in commit order) with its
+/// execution seconds. Both are statically dispatched, so a no-op
+/// `on_span` costs nothing.
+pub(crate) fn schedule_with<P: Placement>(
+    timeline: &[StageTiming],
+    releases: &[f64],
+    rule: &P,
+    mut on_span: impl FnMut(StageSpan, f64),
 ) -> ServedRun {
     let images = releases.len();
     let slots = timeline
@@ -741,7 +795,7 @@ pub fn pipelined_schedule_released_traced(
         // shared resource. A replicated stage pins image `i` to its
         // round-robin replica — replicas are distinct resources, so
         // two images on different replicas overlap.
-        let mut best: Option<(f64, usize)> = None;
+        let mut best: Option<(f64, f64, usize)> = None;
         for i in 0..images {
             let Some(stage) = timeline.get(next[i]) else {
                 continue;
@@ -749,34 +803,35 @@ pub fn pipelined_schedule_released_traced(
             if started[next[i]] != i {
                 continue; // FIFO: an older image starts this stage first.
             }
-            let start = (ready[i] + stage.transfer_in).max(free[stage.resource_for(i).slot()]);
-            if best.is_none_or(|(b, _)| start < b) {
-                best = Some((start, i));
+            let (t_in, start) = rule.start(stage, i, ready[i], &free);
+            if best.is_none_or(|(b, _, _)| start < b) {
+                best = Some((start, t_in, i));
             }
         }
-        let (start, i) = best.expect("pending stages remain");
+        let (start, t_in, i) = best.expect("pending stages remain");
         let stage = &timeline[next[i]];
-        let done = start + stage.seconds;
         let resource = stage.resource_for(i);
-        rec.stage(
-            i,
-            next[i],
-            resource,
-            stage.layer,
-            ready[i],
-            ready[i] + stage.transfer_in,
-            start,
-            done,
+        let seconds = rule.seconds(stage, resource, start);
+        let done = start + seconds;
+        on_span(
+            StageSpan {
+                image: i,
+                stage: next[i],
+                resource,
+                layer: stage.layer,
+                pending: ready[i],
+                ready: ready[i] + t_in,
+                start,
+                end: done,
+            },
+            seconds,
         );
-        if stage.transfer_in > 0.0 {
-            rec.transfer(i, next[i], resource, ready[i], ready[i] + stage.transfer_in);
-        }
         free[resource.slot()] = done;
         started[next[i]] += 1;
         if next[i] == 0 {
             // Latency runs from the moment the image's first transfer
             // begins (a leading hand-off is part of serving the image).
-            starts[i] = start - stage.transfer_in;
+            starts[i] = start - t_in;
         }
         ready[i] = done;
         next[i] += 1;
@@ -794,7 +849,6 @@ pub fn pipelined_schedule_released_traced(
             .map(|r| free[r.slot()])
             .fold(f64::INFINITY, f64::min)
     });
-    rec.run_summary(timeline, images, makespan);
     ServedRun {
         makespan,
         starts,
@@ -831,17 +885,6 @@ impl ClusterPlan {
             .iter()
             .find(|s| s.target.layers().contains(&layer))
             .map(|s| s.board)
-    }
-
-    /// The *base* PL word format of the plan's precision table — it
-    /// silently under-reports a mixed table, which is why it is
-    /// deprecated in favor of [`ClusterPlan::precision`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ClusterPlan::precision()` — the precision surface is per-stage now"
-    )]
-    pub fn pl_format(&self) -> PlFormat {
-        self.formats.base()
     }
 
     /// The resolved per-stage PL word-format table the plan was
@@ -1039,6 +1082,7 @@ impl ClusterPlan {
 mod tests {
     use super::*;
     use crate::board::{ARTY_Z7_20, PYNQ_Z2};
+    use crate::plan::PlFormat;
     use rodenet::Variant;
 
     fn request(boards: usize) -> ClusterRequest {

@@ -1,8 +1,7 @@
 //! The deployment engine — configure once, infer many times.
 //!
-//! The free functions of [`crate::system`] re-plan the offload and
-//! re-quantize the PL weights on **every call**; serving workloads need
-//! the opposite shape: validate a configuration once, then make
+//! Serving workloads must not re-plan the offload or re-quantize the
+//! PL weights on every call: validate a configuration once, then make
 //! inference a cheap, repeatable, batchable operation. [`Engine`] is
 //! that shape:
 //!
@@ -48,8 +47,9 @@
 //!   Cortex-A9 (the "w/o PL" rows of Table 5);
 //! * [`BackendKind::Hybrid`] — offloaded stages on the bit-exact
 //!   fixed-point ODEBlock circuit, the rest in `f32` software (the
-//!   paper's deployment; bit-identical to the legacy
-//!   [`crate::run_hybrid_with`] at the default Q20);
+//!   paper's deployment; bit-identical to the original pre-engine
+//!   hybrid loop at the default Q20, pinned in
+//!   `tests/engine_equivalence.rs`);
 //! * [`BackendKind::PlBitExact`] — the *whole* network in the PL number
 //!   system via [`rodenet::QuantNetwork`], offloaded stages on the
 //!   modelled circuit: what a fully-fixed-point deployment would
@@ -692,7 +692,7 @@ fn build_pl_stages(
 /// each in its *own* word format, quantized at its DMA boundary —
 /// everything else runs as `f32` software with `bn` statistics. With a
 /// uniform Q20 table this mirrors the execution order of the original
-/// `run_hybrid_with` loop exactly, so logits and timing are
+/// pre-engine hybrid loop exactly, so logits and timing are
 /// bit-identical to the legacy path.
 fn hybrid_walk(
     net: &Network,
@@ -955,18 +955,6 @@ impl<'n> EngineBuilder<'n> {
     pub fn bn_mode(mut self, bn: BnMode) -> Self {
         self.bn = bn;
         self
-    }
-
-    /// One PL datapath word format for every stage — the pre-policy
-    /// spelling of [`EngineBuilder::precision`] with
-    /// [`Precision::Uniform`], kept as a delegating shim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `.precision(Precision::Uniform(format))` — the precision \
-                surface is per-stage now"
-    )]
-    pub fn pl_format(self, format: PlFormat) -> Self {
-        self.precision(Precision::Uniform(format))
     }
 
     /// Per-stage PL word-format policy (default:
@@ -1489,17 +1477,6 @@ impl<'n> Engine<'n> {
         self.plan.as_ref().map(|p| p.table5())
     }
 
-    /// The base PL word format. For a per-stage policy this is only
-    /// the table's base; prefer [`Engine::precision`], which reports
-    /// every stage's resolved format.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::precision()` — the precision surface is per-stage now"
-    )]
-    pub fn pl_format(&self) -> PlFormat {
-        self.formats.base()
-    }
-
     /// The resolved per-stage PL word-format table the engine executes
     /// with (for [`Precision::Calibrated`], the formats the
     /// measurement pass chose).
@@ -1670,22 +1647,22 @@ impl<'n> Engine<'n> {
     /// inference executes here at all — like [`Engine::latency_report`],
     /// this reads the build-time timing model.
     ///
-    /// With a non-empty [`EngineBuilder::faults`] plan the run goes
-    /// through [`crate::fault::serve_faulted`] instead: the same
-    /// virtual-time replay, plus injected faults, health-driven
-    /// failover replanning onto the surviving boards, and an
-    /// availability section on the report. An empty plan is
-    /// bit-identical to the fault-free path.
+    /// Every serve runs the one serve driver (see
+    /// [`crate::fault::serve_faulted`]): a fault-free engine serves a
+    /// single crash-free epoch, bit-identical to
+    /// [`crate::serve::serve_timeline`] over the same pipeline. A
+    /// [`EngineBuilder::faults`] plan adds its injected faults,
+    /// health-driven failover replanning onto the surviving boards, and
+    /// an availability section on the report.
     pub fn serve(&self, req: &ServeRequest) -> Result<ServeReport, EngineError> {
-        let mut report = if self.faults.is_empty() {
-            crate::serve::serve_timeline_traced(&self.serve_pipeline()?, req, self.trace_enabled)?
-        } else {
-            let cplan = self
-                .cluster_plan
-                .as_ref()
-                .expect("build() rejects fault plans without a cluster");
-            crate::fault::serve_faulted(cplan, req, &self.faults, &self.health, self.trace_enabled)?
-        };
+        let failover = self.cluster_plan.as_ref().map(|plan| (plan, &self.health));
+        let mut report = crate::fault::serve_epochs(
+            &self.serve_pipeline()?,
+            req,
+            &self.faults,
+            failover,
+            self.trace_enabled,
+        )?;
         if let Some(trace) = report.trace.as_mut() {
             if let Some(cplan) = &self.cluster_plan {
                 trace.set_broadcast_seconds(cplan.broadcast_seconds());
@@ -1698,10 +1675,10 @@ impl<'n> Engine<'n> {
     /// Walk Poisson offered load across fractions of this deployment's
     /// pipelined throughput ceiling and serve a stream at each point —
     /// the load/latency curve (see [`crate::serve::LoadSweep`]). Sweeps
-    /// stay untraced even under [`EngineBuilder::trace`] — a trace per
-    /// load point is rarely what you want; trace one
-    /// [`Engine::serve`] at the load you care about instead (or call
-    /// [`crate::serve::sweep_timeline_traced`] directly).
+    /// serve fault-free and untraced even under [`EngineBuilder::faults`]
+    /// or [`EngineBuilder::trace`] — a trace per load point is rarely
+    /// what you want; trace one [`Engine::serve`] at the load you care
+    /// about instead.
     pub fn load_sweep(&self, sweep: &LoadSweep) -> Result<Vec<LoadPoint>, EngineError> {
         crate::serve::sweep_timeline(&self.serve_pipeline()?, sweep)
     }

@@ -11,12 +11,13 @@
 //!
 //! 1. **Injection** — a declarative [`FaultPlan`] lists [`FaultEvent`]s
 //!    in virtual time. Degradations (slowdowns, hangs, link degrades)
-//!    are consumed by [`faulted_schedule_released`], a fault-aware
-//!    variant of [`pipelined_schedule_released`]; crashes are consumed
-//!    by the failover orchestrator ([`serve_faulted`]). An **empty plan
-//!    is bit-identical and zero-overhead**: both entry points delegate
-//!    straight to the unfaulted path (the same pattern as the disabled
-//!    [`crate::trace::Recorder`]).
+//!    are a placement rule of the one pipelined scheduler
+//!    ([`faulted_schedule_released`]); crashes split a serve into
+//!    epochs in the one serve driver ([`serve_faulted`]), which also
+//!    serves every fault-free request as a single crash-free epoch. An
+//!    **empty plan is bit-identical by construction**: it opens no
+//!    window, so the scheduler's arithmetic is the nominal rule's, and
+//!    it has no crash, so the serve is that single epoch.
 //! 2. **Detection + failover** — a [`HealthMonitor`] with a timeout
 //!    policy marks a board failed once a stage exceeds
 //!    `timeout × expected stage seconds` in virtual time. On failure
@@ -53,7 +54,7 @@
 //!   completed logits stay bit-identical to the fault-free run.
 
 use crate::cluster::{
-    pipelined_schedule_released, plan_cluster, Cluster, ClusterPlan, ClusterRequest, ServedRun,
+    plan_cluster, schedule_with, Cluster, ClusterPlan, ClusterRequest, Placement, ServedRun,
     StageResource, StageTiming,
 };
 use crate::engine::{latency_quantile, EngineError, Offload};
@@ -61,8 +62,7 @@ use crate::partition::board_stage_seconds;
 use crate::planner::OffloadTarget;
 use crate::replica::{restage_seconds, Replication};
 use crate::serve::{window_report, MicroBatcher, ServeReport, ServeRequest};
-use crate::trace::{FaultKind, FaultTraceEvent, Recorder};
-use rodenet::LayerName;
+use crate::trace::{FaultKind, FaultTraceEvent, Recorder, StageSpan};
 
 /// One deterministic fault, placed in virtual time.
 ///
@@ -429,7 +429,10 @@ impl AvailabilityReport {
     }
 }
 
-/// Degradation windows, precomputed for the scheduler's inner loop.
+/// Degradation windows, precomputed for the scheduler's inner loop —
+/// the fault-aware [`Placement`] rule. Empty windows reproduce the
+/// nominal rule's arithmetic exactly (a hand-off divided by a link
+/// factor of 1, no hang to skip, stage seconds times a slowdown of 1).
 struct FaultWindows {
     /// Per board: sorted `(start, end)` hang windows.
     hangs: Vec<Vec<(f64, f64)>>,
@@ -440,7 +443,13 @@ struct FaultWindows {
 }
 
 impl FaultWindows {
-    fn from_plan(plan: &FaultPlan, boards: usize) -> Self {
+    fn from_plan(plan: &FaultPlan) -> Self {
+        let boards = plan
+            .events()
+            .iter()
+            .filter_map(|e| e.board())
+            .max()
+            .map_or(0, |m| m + 1);
         let mut w = FaultWindows {
             hangs: vec![Vec::new(); boards],
             slowdowns: vec![Vec::new(); boards],
@@ -452,19 +461,19 @@ impl FaultWindows {
                     board,
                     at,
                     duration,
-                } if board < boards => w.hangs[board].push((at, at + duration)),
+                } => w.hangs[board].push((at, at + duration)),
                 FaultEvent::BoardSlowdown {
                     board,
                     at,
                     factor,
                     duration,
-                } if board < boards => w.slowdowns[board].push((at, at + duration, factor)),
+                } => w.slowdowns[board].push((at, at + duration, factor)),
                 FaultEvent::LinkDegrade {
                     at,
                     bandwidth_factor,
                     duration,
                 } => w.links.push((at, at + duration, bandwidth_factor)),
-                _ => {}
+                FaultEvent::BoardCrash { .. } => {}
             }
         }
         for v in &mut w.hangs {
@@ -475,12 +484,6 @@ impl FaultWindows {
         }
         w.links.sort_by(|a, b| a.0.total_cmp(&b.0));
         w
-    }
-
-    fn has_degrades(&self) -> bool {
-        !self.links.is_empty()
-            || self.hangs.iter().any(|v| !v.is_empty())
-            || self.slowdowns.iter().any(|v| !v.is_empty())
     }
 
     /// Product of the bandwidth factors of link windows containing `t`
@@ -516,159 +519,44 @@ impl FaultWindows {
                 .product()
         })
     }
+}
 
-    /// `(transfer_seconds, start, duration)` for image `image` entering
-    /// stage `stage` with its input pending at `pending`, given the
-    /// per-slot free instants. The single placement rule shared by the
-    /// scheduler's selection and commit steps, so both always agree.
-    fn place(
-        &self,
-        stage: &StageTiming,
-        image: usize,
-        pending: f64,
-        free: &[f64],
-    ) -> (f64, f64, f64) {
+impl Placement for FaultWindows {
+    fn start(&self, stage: &StageTiming, image: usize, pending: f64, free: &[f64]) -> (f64, f64) {
         let t_in = if stage.transfer_in > 0.0 {
             stage.transfer_in / self.link_factor(pending)
         } else {
             0.0
         };
         let resource = stage.resource_for(image);
-        let start0 = (pending + t_in).max(free[resource.slot()]);
-        let start = self.past_hangs(resource.board(), start0);
-        let dur = stage.seconds * self.slowdown_factor(resource.board(), start);
-        (t_in, start, dur)
+        let start = (pending + t_in).max(free[resource.slot()]);
+        (t_in, self.past_hangs(resource.board(), start))
+    }
+
+    fn seconds(&self, stage: &StageTiming, resource: StageResource, start: f64) -> f64 {
+        stage.seconds * self.slowdown_factor(resource.board(), start)
     }
 }
 
-/// One committed stage execution, kept so the failover orchestrator can
-/// classify work against a crash instant and replay survivors into the
-/// trace.
-struct SpanRec {
-    image: usize,
-    stage: usize,
-    resource: StageResource,
-    layer: Option<LayerName>,
-    pending: f64,
-    start: f64,
-    end: f64,
-    /// `(start, end)` of the leading interconnect hand-off, if any.
-    transfer: Option<(f64, f64)>,
-}
-
-/// The fault-aware core loop: [`pipelined_schedule_released`] with the
-/// degradation windows applied at every placement decision, collecting
-/// the committed spans.
-fn faulted_run(
-    timeline: &[StageTiming],
-    releases: &[f64],
-    windows: &FaultWindows,
-) -> (ServedRun, Vec<SpanRec>) {
-    let images = releases.len();
-    let slots = timeline
-        .iter()
-        .flat_map(|s| s.resources())
-        .map(|r| r.slot())
-        .max()
-        .map_or(1, |m| m + 1);
-    let mut free = vec![0.0f64; slots];
-    let mut next = vec![0usize; images];
-    let mut ready = releases.to_vec();
-    let mut starts = vec![0.0f64; images];
-    let mut finishes = vec![0.0f64; images];
-    let mut started = vec![0usize; timeline.len()];
-    let mut makespan = 0.0f64;
-    let mut spans = Vec::with_capacity(images * timeline.len());
-    for _ in 0..images * timeline.len() {
-        let mut best: Option<(f64, usize)> = None;
-        for i in 0..images {
-            let Some(stage) = timeline.get(next[i]) else {
-                continue;
-            };
-            if started[next[i]] != i {
-                continue;
-            }
-            let (_, start, _) = windows.place(stage, i, ready[i], &free);
-            if best.is_none_or(|(b, _)| start < b) {
-                best = Some((start, i));
-            }
-        }
-        let (_, i) = best.expect("pending stages remain");
-        let stage = &timeline[next[i]];
-        let (t_in, start, dur) = windows.place(stage, i, ready[i], &free);
-        let done = start + dur;
-        let resource = stage.resource_for(i);
-        spans.push(SpanRec {
-            image: i,
-            stage: next[i],
-            resource,
-            layer: stage.layer,
-            pending: ready[i],
-            start,
-            end: done,
-            transfer: (t_in > 0.0).then_some((ready[i], ready[i] + t_in)),
-        });
-        free[resource.slot()] = done;
-        started[next[i]] += 1;
-        if next[i] == 0 {
-            starts[i] = start - t_in;
-        }
-        ready[i] = done;
-        next[i] += 1;
-        if next[i] == timeline.len() {
-            finishes[i] = done;
-            makespan = makespan.max(done);
-        }
-    }
-    let head_idle = timeline.first().map_or(0.0, |s| {
-        s.resources()
-            .iter()
-            .map(|r| free[r.slot()])
-            .fold(f64::INFINITY, f64::min)
-    });
-    (
-        ServedRun {
-            makespan,
-            starts,
-            finishes,
-            head_idle,
-        },
-        spans,
-    )
-}
-
-/// Fault-aware [`pipelined_schedule_released`]: the same greedy
-/// event-driven schedule, with `plan`'s slowdown/hang/link-degrade
-/// windows applied at every placement decision. Crash events do not
-/// alter the low-level schedule — the failover orchestrator
-/// ([`serve_faulted`]) splits runs at crashes instead.
-///
-/// A plan with no degradation windows (including the empty plan)
-/// delegates verbatim to the unfaulted scheduler, so the result is
-/// **bit-identical** and the overhead is one branch.
+/// Fault-aware [`crate::cluster::pipelined_schedule_released`]: the
+/// same greedy event-driven schedule, with `plan`'s
+/// slowdown/hang/link-degrade windows applied at every placement
+/// decision. Crash events do not alter the low-level schedule — the
+/// failover orchestrator ([`serve_faulted`]) splits runs at crashes
+/// instead. Both run the one scheduler core, so a plan without
+/// degradation windows (the empty plan included) schedules
+/// bit-identically to the fault-free path.
 pub fn faulted_schedule_released(
     timeline: &[StageTiming],
     releases: &[f64],
     plan: &FaultPlan,
 ) -> ServedRun {
-    let boards = timeline
-        .iter()
-        .flat_map(|s| s.resources())
-        .map(|r| r.board())
-        .max()
-        .map_or(1, |m| m + 1)
-        .max(
-            plan.events()
-                .iter()
-                .filter_map(|e| e.board())
-                .max()
-                .map_or(0, |m| m + 1),
-        );
-    let windows = FaultWindows::from_plan(plan, boards);
-    if !windows.has_degrades() {
-        return pipelined_schedule_released(timeline, releases);
-    }
-    faulted_run(timeline, releases, &windows).0
+    schedule_with(
+        timeline,
+        releases,
+        &FaultWindows::from_plan(plan),
+        |_, _| {},
+    )
 }
 
 /// Add `seconds` of busy time to `resource`'s bucket.
@@ -680,34 +568,12 @@ fn add_busy(busy: &mut Vec<(StageResource, f64)>, resource: StageResource, secon
     }
 }
 
-/// Replay one committed span (stage + optional hand-off) into the trace
-/// under the image's **original** id, and bill its busy time.
-fn replay_span(
-    rec: &mut Recorder,
-    busy: &mut Vec<(StageResource, f64)>,
-    span: &SpanRec,
-    id: usize,
-) {
-    let delivered = span.transfer.map_or(span.pending, |(_, e)| e);
-    rec.stage(
-        id,
-        span.stage,
-        span.resource,
-        span.layer,
-        span.pending,
-        delivered,
-        span.start,
-        span.end,
-    );
-    if let Some((s, e)) = span.transfer {
-        rec.transfer(id, span.stage, span.resource, s, e);
-    }
-    add_busy(busy, span.resource, span.end - span.start);
-}
-
 /// Replay the epoch's arrivals + dispatches whose dispatch instant
-/// precedes `until`, returning how many batches that is. Mirrors the
-/// grouping in [`crate::serve::serve_timeline_traced`].
+/// precedes `until` into the trace, returning how many batches that
+/// is. Consecutive equal releases are one batch (dispatch instants
+/// strictly increase), and each batch's arrivals precede its dispatch
+/// — the queue's push-before-drain order, so the depth series peaks at
+/// `AdmissionQueue::peak()`.
 fn replay_batches(rec: &mut Recorder, avails: &[f64], releases: &[f64], until: f64) -> usize {
     let mut batches = 0usize;
     let mut i = 0usize;
@@ -732,18 +598,21 @@ fn replay_batches(rec: &mut Recorder, avails: &[f64], releases: &[f64], until: f
 /// Serve `req` over `plan` while injecting `faults`, detecting crashes
 /// with `policy`, and failing over onto the surviving boards.
 ///
-/// The orchestrator runs the serve in **epochs** separated by board
-/// crashes. Within an epoch the fault-aware scheduler applies the
-/// degradation windows; at each crash the health monitor prices a
-/// detection delay, in-flight images untouched by the dead board drain
-/// to completion, work lost on it is re-dispatched, the partition /
-/// replica search re-runs over the surviving [`Cluster`]
+/// This is the one serve driver, given a rack to fail over to. It runs
+/// the serve in **epochs** separated by board crashes: each epoch lets
+/// the [`MicroBatcher`] pick release instants for the images still
+/// pending, schedules them with the degradation windows applied, and
+/// commits the images it completes. At a crash the health monitor
+/// prices a detection delay, in-flight images untouched by the dead
+/// board drain to completion, work lost on it is re-dispatched, the
+/// partition / replica search re-runs over the surviving [`Cluster`]
 /// (`Offload::Auto` + [`Replication::Auto`], which admits the head-PS
 /// software fallback as the degraded last resort), and the replacement
 /// placement's weight re-broadcast ([`restage_seconds`]) is billed
-/// before serving resumes. An empty `faults` delegates verbatim to
-/// [`crate::serve::serve_timeline_traced`] — bit-identical reports and
-/// traces.
+/// before serving resumes. An empty `faults` is a single crash-free
+/// epoch — the same code [`crate::serve::serve_timeline_traced`] runs,
+/// so reports and traces are bit-identical and carry no availability
+/// section.
 ///
 /// Returns [`EngineError::InvalidFaultPlan`] for an unusable plan or
 /// policy, and any error the serve request itself fails with.
@@ -756,13 +625,37 @@ pub fn serve_faulted(
 ) -> Result<ServeReport, EngineError> {
     faults.validate(plan.cluster().len())?;
     policy.validate()?;
-    if faults.is_empty() {
-        return crate::serve::serve_timeline_traced(plan.timeline(), req, traced);
-    }
+    serve_epochs(plan.timeline(), req, faults, Some((plan, policy)), traced)
+}
+
+/// The one serve driver, behind [`crate::serve::serve_timeline`],
+/// [`serve_faulted`] and `Engine::serve` (see [`serve_faulted`] for
+/// the epoch loop). `failover` — the rack to replan over and the
+/// health policy — must be given whenever `faults` holds a crash.
+///
+/// Utilization is computed once, here, and read by both the report and
+/// the trace. Each epoch bills its timeline's per-image busy shares for
+/// every image it schedules, takes back the modelled seconds of the
+/// spans it does not commit, and adds the slowdown stretch of those it
+/// does. Fault-free, that is exactly the per-image-share rule; on
+/// faulted runs it differs from the traced span busy only by the
+/// round-robin replica idealization of each epoch's schedule — less
+/// than one image's busy on a resource per epoch.
+pub(crate) fn serve_epochs(
+    timeline: &[StageTiming],
+    req: &ServeRequest,
+    faults: &FaultPlan,
+    failover: Option<(&ClusterPlan, &HealthPolicy)>,
+    traced: bool,
+) -> Result<ServeReport, EngineError> {
     req.validate()?;
+    if timeline.is_empty() {
+        return Err(EngineError::InvalidServe {
+            reason: "cannot serve over an empty stage pipeline",
+        });
+    }
     let arrivals = req.arrivals.arrivals(req.images, req.seed);
-    let windows = FaultWindows::from_plan(faults, plan.cluster().len());
-    let monitor = HealthMonitor::new(*policy);
+    let windows = FaultWindows::from_plan(faults);
     let mut rec = if traced {
         Recorder::enabled()
     } else {
@@ -789,8 +682,9 @@ pub fn serve_faulted(
         .collect();
     crashes.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    let mut survivors: Vec<usize> = (0..plan.cluster().len()).collect();
-    let mut timeline: Vec<StageTiming> = plan.timeline().to_vec();
+    let boards = failover.map_or(0, |(plan, _)| plan.cluster().len());
+    let mut survivors: Vec<usize> = (0..boards).collect();
+    let mut timeline: Vec<StageTiming> = timeline.to_vec();
     // (original image id, availability instant), kept sorted.
     let mut pending: Vec<(usize, f64)> = arrivals.iter().copied().enumerate().collect();
     let mut finishes: Vec<Option<f64>> = vec![None; req.images];
@@ -810,7 +704,7 @@ pub fn serve_faulted(
         // Crashes of already-dead boards are no-ops; crashes of boards
         // the current placement does not use silently shrink the
         // survivor set (nothing times out, so nothing is detected).
-        let mut crash: Option<(f64, usize)> = None;
+        let mut crash: Option<(f64, usize, f64)> = None;
         while crash_idx < crashes.len() {
             let (at, b) = crashes[crash_idx];
             crash_idx += 1;
@@ -827,77 +721,78 @@ pub fn serve_faulted(
                 survivors.retain(|&s| s != b);
                 continue;
             }
-            crash = Some((eff, b));
+            let (_, policy) = failover.expect("crash events are served with a rack");
+            let detect_at = HealthMonitor::new(*policy).detect_at(&timeline, b, eff);
+            rec.fault(FaultTraceEvent::FailoverStart {
+                at: detect_at,
+                board: b,
+            });
+            crash = Some((eff, b, detect_at));
             break;
         }
 
         let avails: Vec<f64> = pending.iter().map(|(_, a)| *a).collect();
         let rel = MicroBatcher::new(req.dispatch).release_plan(&timeline, &avails);
         queue_peak = queue_peak.max(rel.queue_peak);
-        let (run, spans) = faulted_run(&timeline, &rel.releases, &windows);
-
-        let Some((t_c, b)) = crash else {
-            // Final epoch: every remaining image completes.
-            batches += replay_batches(&mut rec, &avails, &rel.releases, f64::INFINITY);
-            let mut epoch_end = t0;
-            for (k, &(id, _)) in pending.iter().enumerate() {
-                finishes[id] = Some(run.finishes[k]);
-                epoch_end = epoch_end.max(run.finishes[k]);
-                if degraded_now {
-                    degraded_completions += 1;
-                }
-            }
-            for span in &spans {
-                replay_span(&mut rec, &mut busy, span, pending[span.image].0);
-            }
-            if degraded_now {
-                degraded_seconds += epoch_end - t0;
-            }
-            break;
-        };
-
-        let detect_at = monitor.detect_at(&timeline, b, t_c);
-        rec.fault(FaultTraceEvent::FailoverStart {
-            at: detect_at,
-            board: b,
+        let mut spans: Vec<(StageSpan, f64)> = Vec::with_capacity(avails.len() * timeline.len());
+        let run = schedule_with(&timeline, &rel.releases, &windows, |span, seconds| {
+            spans.push((span, seconds))
         });
 
         // Classify this epoch's images against the crash: an image is
         // *committed* when it began before detection and none of its
         // work died with the board; otherwise it goes back in the
         // queue (re-dispatched when its lost work had already started).
+        // Without a crash the epoch commits every image.
         let n = pending.len();
+        let detect_at = crash.map_or(f64::INFINITY, |(_, _, d)| d);
         let mut first_start = vec![f64::INFINITY; n];
         let mut lost = vec![false; n];
-        for s in &spans {
+        for (s, _) in &spans {
             first_start[s.image] = first_start[s.image].min(s.start);
-            if s.resource.board() == b && s.end > t_c {
-                lost[s.image] = true;
-            }
+            lost[s.image] |=
+                crash.is_some_and(|(t_c, b, _)| s.resource.board() == b && s.end > t_c);
         }
         let committed: Vec<bool> = (0..n)
             .map(|k| first_start[k] < detect_at && !lost[k])
             .collect();
-        let mut drain_end = detect_at;
+        let mut epoch_end = crash.map_or(t0, |_| detect_at);
+        let mut completions = 0usize;
         for (k, &(id, _)) in pending.iter().enumerate() {
             if committed[k] {
                 finishes[id] = Some(run.finishes[k]);
-                drain_end = drain_end.max(run.finishes[k]);
-                if degraded_now {
-                    degraded_completions += 1;
-                }
+                epoch_end = epoch_end.max(run.finishes[k]);
+                completions += 1;
             }
         }
         batches += replay_batches(&mut rec, &avails, &rel.releases, detect_at);
-        for span in &spans {
+        for (resource, share) in crate::partition::resource_busy(&timeline) {
+            add_busy(&mut busy, resource, share * n as f64);
+        }
+        for (span, seconds) in &spans {
+            let stage = &timeline[span.stage];
             if committed[span.image] {
-                replay_span(&mut rec, &mut busy, span, pending[span.image].0);
+                rec.commit(
+                    &StageSpan {
+                        image: pending[span.image].0,
+                        ..*span
+                    },
+                    stage.transfer_in > 0.0,
+                );
+                add_busy(&mut busy, span.resource, seconds - stage.seconds);
+            } else {
+                add_busy(&mut busy, span.resource, -stage.seconds);
             }
         }
         if degraded_now {
-            degraded_seconds += drain_end - t0;
+            degraded_completions += completions;
+            degraded_seconds += epoch_end - t0;
         }
 
+        let Some((t_c, b, _)) = crash else {
+            break;
+        };
+        let drain_end = epoch_end;
         let redispatched_here = (0..n)
             .filter(|&k| !committed[k] && first_start[k] < detect_at)
             .count();
@@ -906,7 +801,7 @@ pub fn serve_faulted(
         if survivors_next.is_empty() {
             // Nothing left to fail over to: everything not yet
             // committed is dropped (counted, never silently lost).
-            dropped += (0..n).filter(|&k| !committed[k]).count();
+            dropped += n - completions;
             let drain_seconds = drain_end - t_c;
             failovers.push(FailoverRecord {
                 board: b,
@@ -923,7 +818,6 @@ pub fn serve_faulted(
                 at: drain_end,
                 degraded: true,
             });
-            pending.clear();
             break;
         }
         survivors = survivors_next;
@@ -931,6 +825,7 @@ pub fn serve_faulted(
         // Replan over the survivors. `Offload::Auto` + `Replication::
         // Auto` always admit the head-PS software placement, so with at
         // least one board left this cannot fail.
+        let (plan, _) = failover.expect("crash events are served with a rack");
         let boards: Vec<_> = survivors
             .iter()
             .map(|&s| plan.cluster().boards()[s])
@@ -1024,7 +919,7 @@ pub fn serve_faulted(
         t0 = resume_at;
     }
 
-    // Assemble the report over the whole faulted run.
+    // Assemble the report over the whole run.
     let completed = finishes.iter().flatten().count();
     let last_arrival = arrivals.last().copied().unwrap_or(0.0);
     let horizon = finishes
@@ -1039,7 +934,7 @@ pub fn serve_faulted(
         .collect();
     latencies.sort_by(f64::total_cmp);
     busy.sort_by_key(|(r, _)| r.slot());
-    let utilization = busy
+    let utilization: Vec<(StageResource, f64)> = busy
         .iter()
         .map(|&(r, s)| (r, if horizon > 0.0 { s / horizon } else { 0.0 }))
         .collect();
@@ -1051,7 +946,7 @@ pub fn serve_faulted(
     };
     let redispatched = failovers.iter().map(|f| f.redispatched).sum();
     debug_assert_eq!(completed + dropped, req.images, "image conservation");
-    rec.run_summary(plan.timeline(), completed, horizon);
+    rec.run_summary(utilization.clone(), completed, horizon);
     Ok(ServeReport {
         images: completed,
         batches,
@@ -1065,11 +960,11 @@ pub fn serve_faulted(
         latency_p50: latency_quantile(&latencies, 0.5),
         latency_p99: latency_quantile(&latencies, 0.99),
         latency_p999: latency_quantile(&latencies, 0.999),
-        latency_max: latencies.last().copied().unwrap_or(0.0),
+        latency_max: latency_quantile(&latencies, 1.0),
         queue_peak,
         utilization,
         window: window_report(&req.window, horizon, finishes.iter().flatten().copied()),
-        availability: Some(AvailabilityReport {
+        availability: (!faults.is_empty()).then(|| AvailabilityReport {
             failovers,
             completed,
             dropped,
@@ -1089,6 +984,8 @@ pub fn serve_faulted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::pipelined_schedule_released;
+    use rodenet::LayerName;
 
     fn chain() -> Vec<StageTiming> {
         vec![

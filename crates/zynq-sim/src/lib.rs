@@ -98,7 +98,6 @@ pub mod precision;
 pub mod replica;
 pub mod resources;
 pub mod serve;
-pub mod system;
 pub mod timing;
 pub mod trace;
 
@@ -126,9 +125,6 @@ pub use serve::{
     AdmissionQueue, ArrivalProcess, Dispatch, LoadPoint, LoadSweep, MicroBatcher, ServeReport,
     ServeRequest, Window, WindowReport,
 };
-pub use system::HybridRun;
-#[allow(deprecated)]
-pub use system::{run_hybrid, run_hybrid_with};
 pub use timing::{table5_row, PlModel, PsModel, Table5Row};
 pub use trace::{
     check_chrome_json, FaultKind, FaultTraceEvent, Metrics, Recorder, ResourceMetrics,

@@ -368,18 +368,6 @@ impl DeploymentPlan {
         self.target
     }
 
-    /// The *base* PL word format of the plan's precision table — it
-    /// silently under-reports a mixed table, which is why it is
-    /// deprecated in favor of [`DeploymentPlan::precision`] (every
-    /// stage's format) or [`PlannedStage::format`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DeploymentPlan::precision()` — the precision surface is per-stage now"
-    )]
-    pub fn pl_format(&self) -> PlFormat {
-        self.formats.base()
-    }
-
     /// The resolved per-stage PL word-format table the plan was
     /// computed for.
     pub fn precision(&self) -> &StageFormats {

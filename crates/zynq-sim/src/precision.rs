@@ -192,8 +192,7 @@ impl core::fmt::Display for StageFormats {
 /// ([`Precision::resolve`]).
 #[derive(Clone, Debug)]
 pub enum Precision {
-    /// One format for every stage — exactly the pre-policy
-    /// `pl_format(..)` behavior.
+    /// One format for every stage — the paper's single-width build.
     Uniform(PlFormat),
     /// An explicit per-stage table (base + overrides), e.g.
     /// `StageFormats::uniform(Q20).with(Layer1, Q16 { frac: 10 })`.

@@ -78,12 +78,10 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::{
-    bottleneck_seconds, pipelined_schedule_released, pipelined_schedule_released_traced,
-    StageResource, StageTiming,
-};
-use crate::engine::{latency_quantile, EngineError};
-use crate::trace::{Recorder, Trace};
+use crate::cluster::{bottleneck_seconds, pipelined_schedule_released, StageResource, StageTiming};
+use crate::engine::EngineError;
+use crate::fault::FaultPlan;
+use crate::trace::Trace;
 
 /// How requests enter the system: a pluggable open-loop generator.
 /// All three variants produce a deterministic stream for a given seed
@@ -563,17 +561,19 @@ pub struct ServeReport {
     /// Admission-queue high-water mark (images waiting undispatched).
     pub queue_peak: usize,
     /// Busy fraction of the horizon per execution resource (head PS,
-    /// each board's PL), in timeline order.
+    /// each board's PL), in slot order — the same vector the run's
+    /// [`Trace::utilization`] returns.
     pub utilization: Vec<(StageResource, f64)>,
     /// Goodput inside the request's measurement [`Window`] (`None`
     /// when the request measured the whole horizon).
     pub window: Option<WindowReport>,
     /// Availability accounting, present when the run was served under
-    /// fault injection ([`crate::fault::serve_faulted`]); `None` for
-    /// the fault-free path.
+    /// a non-empty fault plan ([`crate::fault::serve_faulted`]); `None`
+    /// when the plan is empty.
     pub availability: Option<crate::fault::AvailabilityReport>,
-    /// The event trace, when the run was served through
-    /// [`serve_timeline_traced`] with tracing on (`None` otherwise).
+    /// The event trace, when the run was traced
+    /// ([`serve_timeline_traced`], [`crate::fault::serve_faulted`] or a
+    /// tracing engine; `None` otherwise).
     pub(crate) trace: Option<Trace>,
 }
 
@@ -616,25 +616,26 @@ impl ServeReport {
 }
 
 /// Replay one serving experiment over a stage pipeline. This is the
-/// timeline-level driver [`Engine::serve`] wraps: generate the seeded
-/// arrival stream, let the [`MicroBatcher`] pick every release
-/// instant, run the release-aware event sim once over the full
-/// stream, and fold per-image **arrival-to-completion** latencies
-/// into a [`ServeReport`].
+/// timeline-level entry point [`Engine::serve`] shares its driver with:
+/// generate the seeded arrival stream, let the [`MicroBatcher`] pick
+/// every release instant, run the release-aware event sim once over
+/// the full stream, and fold per-image **arrival-to-completion**
+/// latencies into a [`ServeReport`] — the fault-free, single-epoch run
+/// of the one serve driver behind [`crate::fault::serve_faulted`].
 ///
 /// [`Engine::serve`]: crate::engine::Engine::serve
 pub fn serve_timeline(
     timeline: &[StageTiming],
     req: &ServeRequest,
 ) -> Result<ServeReport, EngineError> {
-    serve_timeline_traced(timeline, req, false)
+    crate::fault::serve_epochs(timeline, req, &FaultPlan::none(), None, false)
 }
 
 /// [`serve_timeline`] with event tracing: when `traced`, the returned
 /// report carries a [`Trace`] of the run — per-image stage spans and
 /// hand-offs from the release-aware event sim, plus admission-queue
-/// arrivals and micro-batcher dispatch decisions reconstructed from
-/// the release plan. Only the one full replay is traced; the deadline
+/// arrivals and micro-batcher dispatch decisions replayed from the
+/// release plan. Only the one full replay is traced; the deadline
 /// batcher's per-dispatch head-idle consults stay untraced (they are
 /// planning probes, not execution). Tracing never touches the
 /// simulation's arithmetic: the report's numbers are bit-identical
@@ -644,73 +645,7 @@ pub fn serve_timeline_traced(
     req: &ServeRequest,
     traced: bool,
 ) -> Result<ServeReport, EngineError> {
-    req.validate()?;
-    if timeline.is_empty() {
-        return Err(EngineError::InvalidServe {
-            reason: "cannot serve over an empty stage pipeline",
-        });
-    }
-    let arrivals = req.arrivals.arrivals(req.images, req.seed);
-    let plan = MicroBatcher::new(req.dispatch).release_plan(timeline, &arrivals);
-    let mut rec = if traced {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    if rec.is_enabled() {
-        // Queue/dispatch events replay the batcher's decisions from
-        // the release plan: consecutive equal releases are one batch
-        // (dispatch instants strictly increase), and each batch's
-        // arrivals precede its dispatch — exactly the queue's
-        // push-before-drain order, so the depth series peaks at
-        // `AdmissionQueue::peak()`.
-        let mut idx = 0usize;
-        while idx < plan.releases.len() {
-            let at = plan.releases[idx];
-            let mut count = 0usize;
-            while idx + count < plan.releases.len() && plan.releases[idx + count] == at {
-                count += 1;
-            }
-            for arrival in &arrivals[idx..idx + count] {
-                rec.arrival(*arrival);
-            }
-            rec.dispatch(at, count);
-            idx += count;
-        }
-    }
-    let run = pipelined_schedule_released_traced(timeline, &plan.releases, &mut rec);
-
-    let mut latencies: Vec<f64> = run
-        .finishes
-        .iter()
-        .zip(&arrivals)
-        .map(|(finish, arrival)| finish - arrival)
-        .collect();
-    latencies.sort_by(f64::total_cmp);
-
-    let horizon = run.makespan;
-    let per_image = crate::partition::resource_busy(timeline);
-    let utilization = per_image
-        .into_iter()
-        .map(|(resource, busy)| (resource, busy * req.images as f64 / horizon))
-        .collect();
-
-    Ok(ServeReport {
-        images: req.images,
-        batches: plan.batches,
-        offered_rate: req.arrivals.rate(),
-        goodput: req.images as f64 / horizon,
-        horizon,
-        latency_p50: latency_quantile(&latencies, 0.5),
-        latency_p99: latency_quantile(&latencies, 0.99),
-        latency_p999: latency_quantile(&latencies, 0.999),
-        latency_max: latency_quantile(&latencies, 1.0),
-        queue_peak: plan.queue_peak,
-        utilization,
-        window: window_report(&req.window, horizon, run.finishes.iter().copied()),
-        availability: None,
-        trace: traced.then(|| rec.finish()),
-    })
+    crate::fault::serve_epochs(timeline, req, &FaultPlan::none(), None, traced)
 }
 
 /// A load sweep: walk Poisson offered load across fractions of the
@@ -767,19 +702,6 @@ pub fn sweep_timeline(
     timeline: &[StageTiming],
     sweep: &LoadSweep,
 ) -> Result<Vec<LoadPoint>, EngineError> {
-    sweep_timeline_traced(timeline, sweep, false)
-}
-
-/// [`sweep_timeline`] with event tracing: when `traced`, every
-/// [`LoadPoint`]'s report carries its own [`Trace`] (one full event
-/// log per load fraction — useful for comparing stall attribution as
-/// offered load climbs, but proportionally heavier; the default sweep
-/// stays untraced).
-pub fn sweep_timeline_traced(
-    timeline: &[StageTiming],
-    sweep: &LoadSweep,
-    traced: bool,
-) -> Result<Vec<LoadPoint>, EngineError> {
     if sweep.fractions.is_empty() {
         return Err(EngineError::InvalidServe {
             reason: "a load sweep needs at least one load fraction",
@@ -808,7 +730,7 @@ pub fn sweep_timeline_traced(
                 seed: sweep.seed,
                 window: Window::default(),
             };
-            serve_timeline_traced(timeline, &req, traced).map(|report| LoadPoint {
+            serve_timeline(timeline, &req).map(|report| LoadPoint {
                 fraction,
                 offered,
                 report,

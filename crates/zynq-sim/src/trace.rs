@@ -6,9 +6,10 @@
 //! (`PipelineRun`, `ServeReport`). This module records *why* a run
 //! looks the way it does:
 //!
-//! 1. a [`Recorder`] is threaded through
-//!    [`pipelined_schedule_released_traced`] and
-//!    [`serve_timeline_traced`], capturing typed spans — one
+//! 1. a [`Recorder`] reads the spans the one scheduler core commits,
+//!    through [`pipelined_schedule_released_traced`] and the serve
+//!    driver behind [`serve_timeline_traced`] and
+//!    [`crate::fault::serve_faulted`], capturing typed spans — one
 //!    [`StageSpan`] per stage execution per image per
 //!    [`StageResource`], [`TransferSpan`]s for interconnect hand-offs
 //!    and the one-time replica broadcast, [`QueueEvent`]s for
@@ -57,7 +58,7 @@
 //! [`pipelined_schedule_released_traced`]: crate::cluster::pipelined_schedule_released_traced
 //! [`serve_timeline_traced`]: crate::serve::serve_timeline_traced
 
-use crate::cluster::{StageResource, StageTiming};
+use crate::cluster::StageResource;
 use rodenet::LayerName;
 
 /// One stage execution on one resource, in virtual seconds.
@@ -212,7 +213,7 @@ pub struct Trace {
     pub faults: Vec<FaultTraceEvent>,
     images: usize,
     horizon: f64,
-    per_image_busy: Vec<(StageResource, f64)>,
+    utilization: Vec<(StageResource, f64)>,
     broadcast_seconds: f64,
 }
 
@@ -244,15 +245,11 @@ impl Trace {
         self.broadcast_seconds = seconds;
     }
 
-    /// Per-resource utilization, **bit-equal** to
-    /// `ServeReport::utilization`: the timeline's per-image busy table
-    /// (captured at record time) scaled by `images / horizon` with the
-    /// exact arithmetic `serve_timeline` uses.
+    /// Per-resource utilization: the very vector the traced run's
+    /// `ServeReport::utilization` carries (for a bare schedule, the
+    /// timeline's per-image busy table scaled by `images / horizon`).
     pub fn utilization(&self) -> Vec<(StageResource, f64)> {
-        self.per_image_busy
-            .iter()
-            .map(|&(resource, busy)| (resource, busy * self.images as f64 / self.horizon))
-            .collect()
+        self.utilization.clone()
     }
 
     /// The admission-queue depth time series as `(instant, depth)`
@@ -305,10 +302,10 @@ impl Trace {
         spans.sort_by(|a, b| a.start.total_cmp(&b.start));
         let busy: f64 = spans.iter().map(|s| s.end - s.start).sum();
         let utilization = self
-            .utilization()
-            .into_iter()
+            .utilization
+            .iter()
             .find(|(r, _)| *r == resource)
-            .map_or_else(|| busy / self.horizon, |(_, u)| u);
+            .map_or_else(|| busy / self.horizon, |&(_, u)| u);
 
         // Interval covers over this resource's spans: when was
         // delivered work held (gate), when was work still in flight
@@ -580,8 +577,8 @@ pub struct ResourceMetrics {
     pub spans: usize,
     /// Executed virtual seconds (sum of span durations).
     pub busy: f64,
-    /// Busy fraction of the horizon, bit-equal to
-    /// `ServeReport::utilization` (see [`Trace::utilization`]).
+    /// Busy fraction of the horizon, read from the report's
+    /// utilization vector (see [`Trace::utilization`]).
     pub utilization: f64,
     /// Where the idle seconds went.
     pub stall: StallBreakdown,
@@ -670,6 +667,26 @@ impl Recorder {
         });
     }
 
+    /// Record one committed stage execution and, when `handoff`, the
+    /// interconnect hand-off that delivered its input (`pending` to
+    /// `ready`).
+    #[inline]
+    pub(crate) fn commit(&mut self, span: &StageSpan, handoff: bool) {
+        if !self.enabled {
+            return;
+        }
+        self.trace.stages.push(*span);
+        if handoff {
+            self.transfer(
+                span.image,
+                span.stage,
+                span.resource,
+                span.pending,
+                span.ready,
+            );
+        }
+    }
+
     /// Record one interconnect hand-off.
     #[inline]
     pub fn transfer(
@@ -724,18 +741,23 @@ impl Recorder {
         self.trace.faults.push(event);
     }
 
-    /// Stamp the run summary the aggregations need: the timeline's
-    /// per-image busy table (captured verbatim so
-    /// [`Trace::utilization`] reproduces `ServeReport`'s arithmetic
-    /// bit-for-bit), the image count, and the makespan.
+    /// Stamp the run summary the aggregations need: the run's
+    /// per-resource utilization (handed over verbatim, so
+    /// [`Trace::utilization`] is the report's own vector), the image
+    /// count, and the horizon.
     #[inline]
-    pub fn run_summary(&mut self, timeline: &[StageTiming], images: usize, makespan: f64) {
+    pub fn run_summary(
+        &mut self,
+        utilization: Vec<(StageResource, f64)>,
+        images: usize,
+        horizon: f64,
+    ) {
         if !self.enabled {
             return;
         }
-        self.trace.per_image_busy = crate::partition::resource_busy(timeline);
+        self.trace.utilization = utilization;
         self.trace.images = images;
-        self.trace.horizon = makespan;
+        self.trace.horizon = horizon;
     }
 
     /// Finish recording and hand back the event log.
@@ -931,7 +953,7 @@ mod tests {
         rec.transfer(0, 1, StageResource::Pl(0), 1.0, 1.5);
         rec.arrival(0.0);
         rec.dispatch(0.5, 1);
-        rec.run_summary(&[], 1, 1.0);
+        rec.run_summary(Vec::new(), 1, 1.0);
         assert_eq!(rec.finish(), Trace::default());
     }
 
@@ -955,7 +977,7 @@ mod tests {
         };
         trace.images = 1;
         trace.horizon = 6.0;
-        trace.per_image_busy = vec![(StageResource::Pl(0), 1.0)];
+        trace.utilization = vec![(StageResource::Pl(0), 1.0 / 6.0)];
         let metrics = trace.metrics();
         let pl = &metrics.resources[0];
         assert!((pl.stall.upstream - 1.0).abs() < 1e-12);
@@ -999,7 +1021,7 @@ mod tests {
             0.012,
             0.03,
         );
-        rec.run_summary(&[], 1, 0.03);
+        rec.run_summary(Vec::new(), 1, 0.03);
         let mut trace = rec.finish();
         trace.set_broadcast_seconds(0.002);
         let json = trace.to_chrome_json();

@@ -82,9 +82,5 @@ pub mod prelude {
     pub use zynq_sim::trace::{
         check_chrome_json, FaultTraceEvent, Metrics, Recorder, StallBreakdown, Trace,
     };
-    pub use zynq_sim::{
-        ode_block_resources, HybridRun, OdeBlockAccel, ARTY_Z7_10, ARTY_Z7_20, PYNQ_Z2,
-    };
-    #[allow(deprecated)]
-    pub use zynq_sim::{run_hybrid, run_hybrid_with};
+    pub use zynq_sim::{ode_block_resources, OdeBlockAccel, ARTY_Z7_10, ARTY_Z7_20, PYNQ_Z2};
 }

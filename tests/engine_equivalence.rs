@@ -7,8 +7,8 @@
 //!
 //! The reference below is a line-for-line reimplementation of the
 //! original free-function loop (pre-engine), built from the same public
-//! primitives. Comparing against it (rather than against the shim, which
-//! now delegates to the engine) keeps this suite meaningful.
+//! primitives, so the original semantics stay pinned after the
+//! free functions themselves are gone.
 
 use odenet_suite::prelude::*;
 use zynq_sim::datapath::{dma_words, OdeBlockAccel};
@@ -142,41 +142,6 @@ fn engine_bit_identical_to_legacy_across_matrix() {
     assert_eq!(combos, 48);
     assert_eq!(deployable, 2 * (5 + 3 + 1), "deployable combos");
     assert_eq!(rejected, combos - deployable, "rejected combos");
-}
-
-/// The deprecated shims must agree with the engine exactly (they
-/// delegate, so this pins the shim wiring — argument order, BN mode,
-/// backend choice).
-#[test]
-#[allow(deprecated)]
-fn legacy_shims_delegate_faithfully() {
-    let net = Network::new(NetSpec::new(Variant::ROdeNet3, 20).with_classes(10), 4);
-    let ps = PsModel::Calibrated;
-    let pl = PlModel::default();
-    let x = image(11);
-    for bn in [BnMode::OnTheFly, BnMode::Running] {
-        let legacy = run_hybrid_with(&net, &x, OffloadTarget::Layer32, bn, &ps, &pl, &PYNQ_Z2);
-        let engine = Engine::builder(&net)
-            .offload(Offload::Target(OffloadTarget::Layer32))
-            .bn_mode(bn)
-            .build()
-            .unwrap();
-        let run = engine.infer(&x).unwrap();
-        assert_eq!(legacy.logits.as_slice(), run.logits.as_slice());
-        assert_eq!(legacy.ps_seconds, run.ps_seconds);
-        assert_eq!(legacy.pl_seconds, run.pl_seconds);
-        assert_eq!(legacy.dma_words, run.dma_words);
-        assert_eq!(legacy.offloaded, run.offloaded);
-    }
-    let sw = run_hybrid(&net, &x, OffloadTarget::None, &ps, &pl, &PYNQ_Z2);
-    let engine = Engine::builder(&net)
-        .offload(Offload::Target(OffloadTarget::None))
-        .build()
-        .unwrap();
-    let run = engine.infer(&x).unwrap();
-    assert_eq!(sw.logits.as_slice(), run.logits.as_slice());
-    assert_eq!(sw.ps_seconds, run.ps_seconds);
-    assert_eq!(run.backend, "ps-software");
 }
 
 /// The plan's cached Table 5 row is the same timing an actual

@@ -12,9 +12,6 @@
 //!   per-stage `frac` from measured activation ranges, lands within
 //!   1 percentage point of uniform Q20 test accuracy, and strictly
 //!   reduces total DMA words;
-//! * `Precision::Uniform(Q20)` stays **bit-identical** to the
-//!   deprecated `pl_format(Q20)` path across the placement × variant ×
-//!   BN matrix;
 //! * calibrated formats never saturate on the calibration set
 //!   (proptest: the measured envelope round-trips within ≤ 1 ULP).
 
@@ -211,63 +208,6 @@ fn balanced_partitioner_handles_mixed_widths() {
             assert_eq!(stuck_bram36, 140.0, "priced at the stage's own Q20");
         }
         other => panic!("expected ShardInfeasible, got {other:?}"),
-    }
-}
-
-/// Satellite: `Precision::Uniform(Q20)` must stay bit-identical to the
-/// PR 4 `pl_format(Q20)` path across the placement × variant × BN
-/// matrix — same Ok/Err outcomes, same logits, same modelled timing.
-#[test]
-#[allow(deprecated)]
-fn uniform_q20_matches_deprecated_pl_format_across_matrix() {
-    for (vi, variant) in [Variant::ROdeNet3, Variant::OdeNet, Variant::ResNet]
-        .into_iter()
-        .enumerate()
-    {
-        let spec = NetSpec::new(variant, 20).with_classes(10);
-        let net = Network::new(spec, 5000 + vi as u64);
-        for target in OffloadTarget::ALL {
-            for bn in [BnMode::OnTheFly, BnMode::Running] {
-                let legacy = Engine::builder(&net)
-                    .offload(Offload::Target(target))
-                    .bn_mode(bn)
-                    .pl_format(PlFormat::Q20)
-                    .build();
-                let policy = Engine::builder(&net)
-                    .offload(Offload::Target(target))
-                    .bn_mode(bn)
-                    .precision(Precision::Uniform(PlFormat::Q20))
-                    .build();
-                match (legacy, policy) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            b.precision().uniform_format(),
-                            Some(PlFormat::Q20),
-                            "resolved table is uniform Q20"
-                        );
-                        let x = image(90 + vi as u64, 32);
-                        let ra = a.infer(&x).expect("legacy runs");
-                        let rb = b.infer(&x).expect("policy runs");
-                        assert_eq!(
-                            ra.logits.as_slice(),
-                            rb.logits.as_slice(),
-                            "{variant}/{target:?}/{bn:?}: bit-identical"
-                        );
-                        assert_eq!(ra.ps_seconds, rb.ps_seconds);
-                        assert_eq!(ra.pl_seconds, rb.pl_seconds);
-                        assert_eq!(ra.dma_words, rb.dma_words);
-                    }
-                    (Err(ea), Err(eb)) => {
-                        assert_eq!(ea, eb, "{variant}/{target:?}/{bn:?}: same rejection");
-                    }
-                    (a, b) => panic!(
-                        "{variant}/{target:?}/{bn:?}: legacy {:?} vs policy {:?} disagree",
-                        a.is_ok(),
-                        b.is_ok()
-                    ),
-                }
-            }
-        }
     }
 }
 

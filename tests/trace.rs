@@ -9,6 +9,8 @@
 //! byte-stable (golden file), and — the zero-cost contract — every
 //! scheduler output is bit-identical with tracing on or off.
 
+use std::sync::OnceLock;
+
 use odenet_suite::prelude::*;
 use proptest::prelude::*;
 use zynq_sim::cluster::{
@@ -40,6 +42,31 @@ fn replicated_rack() -> ClusterPlan {
         },
     )
     .expect("3×Arty carries ODENet-20 at Q20/conv_x8")
+}
+
+/// The failover rack: two data-parallel placement groups on four Arty
+/// boards (groups `[0, 1]` and `[2, 3]`), planned once for the
+/// proptests.
+fn grouped_rack() -> &'static ClusterPlan {
+    static PLAN: OnceLock<ClusterPlan> = OnceLock::new();
+    PLAN.get_or_init(|| {
+        let spec = NetSpec::new(Variant::OdeNet, 20).with_classes(100);
+        plan_cluster(
+            &spec,
+            &ClusterRequest {
+                cluster: Cluster::homogeneous(&ARTY_Z7_20, 4, Interconnect::GIGABIT_ETHERNET),
+                offload: Offload::Auto,
+                bn: BnMode::OnTheFly,
+                ps: PsModel::Calibrated,
+                pl: PlModel::default(),
+                precision: PlFormat::Q20.into(),
+                schedule: Schedule::Pipelined,
+                partitioner: Partitioner::FirstFit,
+                replication: Replication::Placement(2),
+            },
+        )
+        .expect("4×Arty carries ODENet-20 in two placement groups")
+    })
 }
 
 /// A two-stage toy pipeline (PS feeds a PL fabric across a modelled
@@ -388,37 +415,81 @@ proptest! {
     }
 
     /// The serve-layer trace reconciles with its report over any
-    /// pipeline × arrival trace: queue-depth peak equals the admission
-    /// queue's **exactly**, dispatch events count the batches, arrivals
-    /// count the images, utilization and horizon are bit-equal, and
-    /// the Chrome export always validates.
+    /// pipeline × arrival trace × fault plan: dispatch events count the
+    /// batches, utilization and horizon are bit-equal, and the Chrome
+    /// export always validates. Without a crash every image is
+    /// dispatched once, so the queue-depth peak also equals the
+    /// admission queue's **exactly** and the dispatches and arrivals
+    /// count the images. The fault plans (`fault`: 0 none, 1 a 3×
+    /// slowdown of board 1, 2 a link brownout, 3 a crash of board 3)
+    /// serve the 4×Arty placement-group rack, the stream scaled to its
+    /// bottleneck; the fault lands at `at` of the stream's span.
     #[test]
     fn serve_trace_reconciles_with_report(
         timeline in any_timeline(),
         gaps in any_gaps(),
+        fault in 0usize..4,
+        at in 0.1f64..0.9,
     ) {
         if gaps.iter().sum::<f64>() <= 0.0 {
             return Ok(());
         }
-        let req = ServeRequest {
-            arrivals: ArrivalProcess::Trace(gaps),
+        let mut req = ServeRequest {
+            arrivals: ArrivalProcess::Trace(gaps.clone()),
             images: 48,
             dispatch: Dispatch::default(),
             seed: 5,
             window: Window::default(),
         };
-        let report = serve_timeline_traced(&timeline, &req, true).expect("valid");
+        let report = if fault == 0 {
+            serve_timeline_traced(&timeline, &req, true).expect("valid")
+        } else {
+            let plan = grouped_rack();
+            let bottleneck = plan.bottleneck_seconds();
+            req.arrivals = ArrivalProcess::Trace(gaps.iter().map(|g| g * 5.0 * bottleneck).collect());
+            let last = *req.arrivals.arrivals(req.images, req.seed).last().expect("48 images");
+            let at = at * last.max(req.images as f64 * bottleneck);
+            let event = match fault {
+                1 => FaultEvent::BoardSlowdown { board: 1, at, factor: 3.0, duration: 0.2 * at },
+                2 => FaultEvent::LinkDegrade { at, bandwidth_factor: 0.25, duration: 0.2 * at },
+                _ => FaultEvent::BoardCrash { board: 3, at },
+            };
+            let faults = FaultPlan::new(vec![event]);
+            serve_faulted(plan, &req, &faults, &HealthPolicy::default(), true).expect("valid")
+        };
         let trace = report.trace().expect("traced");
 
         prop_assert_eq!(trace.horizon(), report.horizon);
         prop_assert_eq!(trace.utilization(), report.utilization.clone());
-        let metrics = trace.metrics();
-        prop_assert_eq!(metrics.queue_peak, report.queue_peak, "queue peak matches exactly");
         prop_assert_eq!(trace.dispatches.len(), report.batches);
-        let dispatched: usize = trace.dispatches.iter().map(|d| d.images).sum();
-        prop_assert_eq!(dispatched, report.images);
-        let arrivals = trace.queue.iter().filter(|e| e.delta > 0).count();
-        prop_assert_eq!(arrivals, report.images);
+        let metrics = trace.metrics();
+        // Utilization bills idealized round-robin shares per epoch, so
+        // it may differ from the traced span busy by less than one
+        // image's busy on a resource per epoch.
+        let epochs = report.availability.as_ref().map_or(1, |a| a.failovers.len() + 1);
+        let mut image_busy: Vec<((usize, StageResource), f64)> = Vec::new();
+        for s in &trace.stages {
+            match image_busy.iter_mut().find(|(k, _)| *k == (s.image, s.resource)) {
+                Some((_, b)) => *b += s.end - s.start,
+                None => image_busy.push(((s.image, s.resource), s.end - s.start)),
+            }
+        }
+        let one_image = image_busy.iter().map(|(_, b)| *b).fold(0.0, f64::max);
+        for r in &metrics.resources {
+            let gap = (r.utilization * metrics.horizon - r.busy).abs();
+            prop_assert!(
+                gap <= epochs as f64 * one_image + 1e-9,
+                "{:?}: utilization {} vs span busy {} over {} s",
+                r.resource, r.utilization, r.busy, metrics.horizon
+            );
+        }
+        if fault != 3 {
+            prop_assert_eq!(metrics.queue_peak, report.queue_peak, "queue peak matches exactly");
+            let dispatched: usize = trace.dispatches.iter().map(|d| d.images).sum();
+            prop_assert_eq!(dispatched, report.images);
+            let arrivals = trace.queue.iter().filter(|e| e.delta > 0).count();
+            prop_assert_eq!(arrivals, report.images);
+        }
 
         let json = trace.to_chrome_json();
         let events = check_chrome_json(&json);
