@@ -49,7 +49,8 @@
 //!                 Perfetto)
 //!   hotpath       Extension: PS hot-path face-off — measured wall-clock
 //!                 seconds per PS stage (scalar reference kernels vs the
-//!                 im2col/GEMM fast path, bit-identical logits) plus
+//!                 im2col/GEMM fast path, bit-identical logits), the
+//!                 layer3_2 PL stage's bit-exact Q20 emulation, plus
 //!                 end-to-end batch-32 on the PsSoftware backend, the
 //!                 configuration the ≥2× speedup pin guards
 //!   faults        Extension: fault injection & failover — kill one
@@ -1770,6 +1771,15 @@ fn hotpath_cmd(flags: &Flags) {
         };
         let (r, f) = face_off(3, || net.stage_forward(name, &z, BnMode::OnTheFly));
         row(name.name(), r, f);
+        if name == LayerName::Layer3_2 {
+            // The same stage as the hybrid placement's PL runs it: the
+            // bit-exact Q20 emulation of the circuit, all Euler steps.
+            let stage = net.stage(name).expect("stage_forward found it");
+            let accel = OdeBlockAccel::<Q20>::new(&stage.blocks[0], 16, &PYNQ_Z2);
+            let zq = Tensor::<Q20>::from_f32_tensor(&z);
+            let (r, f) = face_off(3, || accel.run_stage(&zq, stage.plan.execs));
+            row("layer3_2 PL stage (Q20)", r, f);
+        }
         z = next;
     }
     let (r, f) = face_off(3, || net.fc_forward(&z));

@@ -17,24 +17,46 @@
 //! # Fast path
 //!
 //! [`conv2d`] dispatches the paper's hot case — 3×3, pad 1, stride 1 or 2
-//! — to an im2col + blocked micro-GEMM kernel ([`conv2d_im2col_3x3`])
-//! whose inner loops carry **zero bounds checks**: each im2col row is
-//! packed as `zero border | contiguous interior copy | zero border`, and
-//! the GEMM walks fixed-size slices. Every other geometry (and
+//! — to an im2col + GEMM kernel ([`conv2d_im2col_3x3`]) whose inner loops
+//! carry **zero bounds checks**: each im2col row is packed as
+//! `zero border | contiguous interior copy | zero border`, and the GEMM
+//! walks fixed-size slices. Every other geometry (and
 //! [`set_force_reference`]) falls back to the original scalar kernel,
-//! retained verbatim as [`conv2d_reference`].
+//! retained verbatim as [`conv2d_reference`]. The GEMM itself is the
+//! [`Scalar::im2col_gemm`] hook, so each scalar type multiplies the packed
+//! matrix its own way.
 //!
-//! Both paths are **bit-identical**, for every [`Scalar`]: the GEMM keeps
-//! the K-dimension accumulation in the reference's `(i, ky, kx)` order and
-//! blocks only over output channels / output pixels (independent
-//! accumulator chains). Padded taps contribute `w·0`: exact `0` on the
-//! wide fixed-point accumulator, and `acc + (±0.0)` in `f32` — a bitwise
-//! no-op because the accumulator can never hold `-0.0` (it starts at
-//! `+0.0`, and IEEE-754 addition only produces `-0.0` from two negative
-//! zeros). The equivalence is pinned by unit tests here and a proptest in
-//! `tensor/tests/props.rs` across shapes × strides × scalar types.
+//! Both paths are **bit-identical**, for every [`Scalar`], by one of two
+//! arguments:
+//!
+//! * **f32 and the 16-bit formats** run the default hook, a blocked
+//!   micro-GEMM that keeps the K-dimension accumulation in the
+//!   reference's `(i, ky, kx)` order and blocks only over output
+//!   channels / output pixels (independent accumulator chains). Padded
+//!   taps contribute `w·0`: exact `0` on the wide fixed-point
+//!   accumulator, and `acc + (±0.0)` in `f32` — a bitwise no-op because
+//!   the accumulator can never hold `-0.0` (it starts at `+0.0`, and
+//!   IEEE-754 addition only produces `-0.0` from two negative zeros).
+//!   f32 addition is not associative, so this K order must not change.
+//! * **32-bit fixed point** (`Fix<F>`, the PL's Q20) overrides the hook
+//!   with an offset-binary, register-tiled kernel. Its reference is a
+//!   wrapping i64 sum of exact i32×i32 products, i.e. the sum mod 2^64,
+//!   and integer sums mod 2^64 are order-free. With `w' = w + 2^31` and
+//!   `x' = x + 2^31` (the sign bit flipped, read as u32),
+//!   `Σ w·x ≡ Σ w'x' − 2^31·(Σ w' + Σ x') + K·2^62 (mod 2^64)`, so the
+//!   kernel accumulates unsigned `w'x'` products — one `pmuludq` lane each
+//!   on baseline x86-64, which has no signed 32×32→64 vector multiply —
+//!   in any order, corrects each output once, and hands `acc_finish`
+//!   exactly the reference's accumulator bits.
+//!
+//! The equivalence is pinned by unit tests here, proptests in
+//! `tensor/tests/props.rs` across shapes × strides × scalar types
+//! (including raw Q20 and Q16 bit patterns over all of `i32`), and a
+//! fixed sweep over the rODENet geometries in the root
+//! `tests/conv_oracle.rs`.
 
 use crate::{par, Scalar, Shape4, Tensor};
+use qfixed::Fix;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Stride / padding configuration.
@@ -168,11 +190,10 @@ const GEMM_NB: usize = 128;
 ///
 /// Per batch item the input is packed into a `K × (OH·OW)` column matrix
 /// (`K = C·9`, rows ordered `(i, ky, kx)` — the reference kernel's tap
-/// order), then multiplied by the `(O × K)` weight matrix in `MB × NB`
-/// blocks. The K loop stays outermost-sequential, so each output's
-/// accumulator chain visits taps in exactly the reference order; padded
-/// taps are packed as explicit zeros, which leave every accumulator
-/// bit-unchanged (see the module docs). The packed rows are built from
+/// order), then multiplied by the `(O × K)` weight matrix through
+/// [`Scalar::im2col_gemm`]. Padded taps are packed as explicit zeros,
+/// which leave every accumulator bit-unchanged (see the module docs for
+/// why each GEMM matches the reference). The packed rows are built from
 /// precomputed interior ranges — `copy_from_slice` for stride 1, a
 /// `step_by(2)` zip for stride 2 — so neither packing nor GEMM performs a
 /// per-element bounds check.
@@ -213,43 +234,142 @@ pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParam
             }
         }
 
-        // out[n] is an (O × NC) row-major matrix; hand each worker a
-        // block of GEMM_MB output-channel rows.
-        let oitem = out.item_mut(n);
-        par::par_chunks_mut(oitem, GEMM_MB * nc, kdim, |blk, chunk| {
-            let m0 = blk * GEMM_MB;
-            let rows = chunk.len() / nc;
-            let mut acc = [S::acc_zero(); GEMM_MB * GEMM_NB];
-            let mut j0 = 0;
-            while j0 < nc {
-                let nb = GEMM_NB.min(nc - j0);
-                for a in acc[..rows * GEMM_NB].iter_mut() {
-                    *a = S::acc_zero();
-                }
-                // K stays sequential: each (m, j) accumulator sees taps
-                // in the reference (i, ky, kx) order.
-                for r in 0..kdim {
-                    let crow = &cols[r * nc + j0..r * nc + j0 + nb];
-                    for m in 0..rows {
-                        let wv = wsl[(m0 + m) * kdim + r];
-                        let arow = &mut acc[m * GEMM_NB..m * GEMM_NB + nb];
-                        for (a, &c) in arow.iter_mut().zip(crow) {
-                            *a = S::mac(*a, wv, c);
-                        }
-                    }
-                }
-                for m in 0..rows {
-                    let orow = &mut chunk[m * nc + j0..m * nc + j0 + nb];
-                    let arow = &acc[m * GEMM_NB..m * GEMM_NB + nb];
-                    for (o, &a) in orow.iter_mut().zip(arow) {
-                        *o = S::acc_finish(a);
-                    }
-                }
-                j0 += nb;
-            }
-        });
+        S::im2col_gemm(wsl, &cols, kdim, out.item_mut(n));
     }
     out
+}
+
+/// The blocked micro-GEMM behind [`Scalar::im2col_gemm`]'s default:
+/// `out = W · cols` for one batch item, with `W` the `(O × kdim)` weight
+/// matrix, `cols` the packed `(kdim × NC)` column matrix and `out` the
+/// item's `(O × NC)` output planes.
+pub(crate) fn gemm_blocked<S: Scalar>(wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) {
+    let nc = cols.len() / kdim;
+    // The item is an (O × NC) row-major matrix; hand each worker a
+    // block of GEMM_MB output-channel rows.
+    par::par_chunks_mut(oitem, GEMM_MB * nc, kdim, |blk, chunk| {
+        let m0 = blk * GEMM_MB;
+        let rows = chunk.len() / nc;
+        let mut acc = [S::acc_zero(); GEMM_MB * GEMM_NB];
+        let mut j0 = 0;
+        while j0 < nc {
+            let nb = GEMM_NB.min(nc - j0);
+            for a in acc[..rows * GEMM_NB].iter_mut() {
+                *a = S::acc_zero();
+            }
+            // K stays sequential: each (m, j) accumulator sees taps
+            // in the reference (i, ky, kx) order.
+            for r in 0..kdim {
+                let crow = &cols[r * nc + j0..r * nc + j0 + nb];
+                for m in 0..rows {
+                    let wv = wsl[(m0 + m) * kdim + r];
+                    let arow = &mut acc[m * GEMM_NB..m * GEMM_NB + nb];
+                    for (a, &c) in arow.iter_mut().zip(crow) {
+                        *a = S::mac(*a, wv, c);
+                    }
+                }
+            }
+            for m in 0..rows {
+                let orow = &mut chunk[m * nc + j0..m * nc + j0 + nb];
+                let arow = &acc[m * GEMM_NB..m * GEMM_NB + nb];
+                for (o, &a) in orow.iter_mut().zip(arow) {
+                    *o = S::acc_finish(a);
+                }
+            }
+            j0 += nb;
+        }
+    });
+}
+
+/// Register-tile height (output channels) of [`gemm_offset_binary`].
+const TILE_MR: usize = 2;
+/// Register-tile width (output pixels) of [`gemm_offset_binary`].
+const TILE_NR: usize = 4;
+/// Taps per block of the column transpose in [`gemm_offset_binary`].
+const TRANSPOSE_K: usize = 16;
+
+/// Offset-binary view of a 32-bit fixed-point value: flipping the sign
+/// bit reads the i32 `v` as the u32 `v + 2^31`.
+#[inline]
+fn offset_binary<const F: u32>(v: Fix<F>) -> u32 {
+    (v.to_bits() as u32) ^ 0x8000_0000
+}
+
+/// `Σ row` without wrapping: at most `K·(2^32 − 1)`.
+fn row_sum(row: &[u32]) -> u64 {
+    row.iter().map(|&v| u64::from(v)).sum()
+}
+
+/// The 32-bit fixed-point GEMM behind `Fix<F>`'s [`Scalar::im2col_gemm`]:
+/// same contract as [`gemm_blocked`], same output bits, computed in
+/// unsigned offset-binary arithmetic (the identity is in the module
+/// docs).
+///
+/// Each `w'x'` is one unsigned 32×32→64 multiply, and the `TILE_MR ×
+/// TILE_NR` accumulators stay in registers over the whole K loop. The
+/// column sums `Σ x'` and row sums `Σ w'` are taken once per call, and
+/// the correction is applied once per output.
+pub(crate) fn gemm_offset_binary<const F: u32>(
+    w: &[Fix<F>],
+    cols: &[Fix<F>],
+    kdim: usize,
+    oitem: &mut [Fix<F>],
+) {
+    let nc = cols.len() / kdim;
+    let m = oitem.len() / nc;
+    // Both operands K-contiguous: one row per output pixel (the
+    // transposed column matrix) and one per output channel, each padded
+    // with zero rows up to a whole tile. The transpose walks
+    // `TRANSPOSE_K` taps at a time so the rows it writes stay cached on
+    // wide maps.
+    let mut xt = vec![0u32; nc.next_multiple_of(TILE_NR) * kdim];
+    for (kb, taps) in cols.chunks(TRANSPOSE_K * nc).enumerate() {
+        for (j, xrow) in xt.chunks_exact_mut(kdim).take(nc).enumerate() {
+            let dst = &mut xrow[kb * TRANSPOSE_K..];
+            for (d, tap) in dst.iter_mut().zip(taps.chunks_exact(nc)) {
+                *d = offset_binary(tap[j]);
+            }
+        }
+    }
+    let xsum: Vec<u64> = xt.chunks_exact(kdim).map(row_sum).collect();
+    let mut wt = vec![0u32; m.next_multiple_of(TILE_MR) * kdim];
+    for (d, &v) in wt.iter_mut().zip(w) {
+        *d = offset_binary(v);
+    }
+    let wsum: Vec<u64> = wt.chunks_exact(kdim).map(row_sum).collect();
+    let bias = (kdim as u64) << 62;
+    par::par_chunks_mut(oitem, TILE_MR * nc, kdim, |blk, chunk| {
+        let m0 = blk * TILE_MR;
+        let wblock = &wt[m0 * kdim..(m0 + TILE_MR) * kdim];
+        for j0 in (0..nc).step_by(TILE_NR) {
+            let acc = offset_binary_tile(wblock, &xt[j0 * kdim..(j0 + TILE_NR) * kdim], kdim);
+            let nb = TILE_NR.min(nc - j0);
+            for ((arow, orow), &rsum) in acc.iter().zip(chunk.chunks_mut(nc)).zip(&wsum[m0..]) {
+                for ((o, &a), &csum) in orow[j0..j0 + nb].iter_mut().zip(arow).zip(&xsum[j0..]) {
+                    let s = a.wrapping_sub((rsum + csum) << 31).wrapping_add(bias);
+                    *o = Fix::acc_finish(s as i64);
+                }
+            }
+        }
+    });
+}
+
+/// `Σ_k w'[m][k]·x'[j][k]` for the `TILE_MR` weight rows in `w` and the
+/// `TILE_NR` column rows in `x`, wrapping mod 2^64.
+#[inline]
+fn offset_binary_tile(w: &[u32], x: &[u32], kdim: usize) -> [[u64; TILE_NR]; TILE_MR] {
+    let w: [&[u32]; TILE_MR] = std::array::from_fn(|m| &w[m * kdim..(m + 1) * kdim]);
+    let x: [&[u32]; TILE_NR] = std::array::from_fn(|j| &x[j * kdim..(j + 1) * kdim]);
+    let mut acc = [[0u64; TILE_NR]; TILE_MR];
+    for k in 0..kdim {
+        for (arow, wrow) in acc.iter_mut().zip(w) {
+            let wv = u64::from(wrow[k]);
+            for (a, xrow) in arow.iter_mut().zip(x) {
+                *a = a.wrapping_add(wv * u64::from(xrow[k]));
+            }
+        }
+    }
+    acc
 }
 
 /// Pack one im2col row: the values tap `(ky, kx)` reads for every output

@@ -59,6 +59,24 @@ pub trait Scalar:
     /// Collapse the accumulator back to the storage format (the single
     /// truncation point for fixed point).
     fn acc_finish(acc: Self::Acc) -> Self;
+
+    /// The GEMM of the im2col conv fast path: `out = W · cols` for one
+    /// batch item, with `W` the `(O × kdim)` weight matrix, `cols` the
+    /// packed `(kdim × NC)` column matrix and `out` the `(O × NC)` output
+    /// planes, split over output-channel blocks with [`crate::par`].
+    ///
+    /// Every output must equal `acc_finish` of the reference's `mac`
+    /// chain bit for bit. The default, a blocked micro-GEMM, keeps each
+    /// chain's K order, which `f32` needs: its sums are order-dependent.
+    /// `Fix<F>` overrides it with an offset-binary kernel: its wide
+    /// accumulator is the exact sum mod 2^64, which no reordering
+    /// changes, and with `w' = w + 2^31`, `x' = x + 2^31`,
+    /// `Σ w·x ≡ Σ w'x' − 2^31·(Σ w' + Σ x') + K·2^62 (mod 2^64)` turns
+    /// every signed product into one unsigned 32×32→64 multiply (see
+    /// [`crate::conv`]).
+    fn im2col_gemm(w: &[Self], cols: &[Self], kdim: usize, out: &mut [Self]) {
+        crate::conv::gemm_blocked(w, cols, kdim, out)
+    }
 }
 
 impl Scalar for f32 {
@@ -201,6 +219,10 @@ impl<const F: u32> Scalar for Fix<F> {
     #[inline]
     fn acc_finish(acc: i64) -> Self {
         Fix::from_bits((acc >> F) as i32)
+    }
+
+    fn im2col_gemm(w: &[Self], cols: &[Self], kdim: usize, out: &mut [Self]) {
+        crate::conv::gemm_offset_binary(w, cols, kdim, out)
     }
 }
 

@@ -50,6 +50,54 @@ fn conv3x3_instance() -> impl Strategy<Value = (Tensor<f32>, Tensor<f32>, Conv2d
         })
 }
 
+/// Raw 32-bit fixed-point bit patterns over all of `i32`. About half the
+/// cases mix `MIN`, `MAX` and `-1` into uniform draws; the rest draw only
+/// `MIN` and `MAX`, whose products wrap the wide accumulator fastest.
+fn raw_bits(len: usize) -> impl Strategy<Value = Vec<i32>> {
+    (
+        any::<bool>(),
+        prop::collection::vec((0u8..8, any::<i32>()), len),
+    )
+        .prop_map(|(extremes_only, draws)| {
+            draws
+                .into_iter()
+                .map(|(pick, raw)| match (extremes_only, pick) {
+                    (true, p) if p % 2 == 0 => i32::MIN,
+                    (true, _) => i32::MAX,
+                    (false, 0) => i32::MIN,
+                    (false, 1) => i32::MAX,
+                    (false, 2) => -1,
+                    (false, _) => raw,
+                })
+                .collect()
+        })
+}
+
+/// Random 3×3 Q20 convolution instances with full-range bit patterns:
+/// both strides, extents down to 1×1, and output-channel counts (GEMM M)
+/// and pixel counts (GEMM N) that are mostly not multiples of the
+/// fixed-point kernel's register tile.
+fn conv3x3_raw_q20_instance() -> impl Strategy<Value = (Tensor<Q20>, Tensor<Q20>, Conv2dParams)> {
+    (
+        1usize..=2,
+        1usize..=5,
+        1usize..=9,
+        1usize..=9,
+        1usize..=7,
+        1usize..=2,
+    )
+        .prop_flat_map(|(n, c, h, w, o, stride)| {
+            (raw_bits(n * c * h * w), raw_bits(o * c * 9)).prop_map(move |(xd, wd)| {
+                let q = |bits: Vec<i32>| bits.into_iter().map(Q20::from_bits).collect();
+                (
+                    Tensor::from_vec(Shape4::new(n, c, h, w), q(xd)),
+                    Tensor::from_vec(Shape4::new(o, c, 3, 3), q(wd)),
+                    Conv2dParams { stride, pad: 1 },
+                )
+            })
+        })
+}
+
 fn weights_for(c: usize) -> impl Strategy<Value = Tensor<f32>> {
     (1usize..=4).prop_flat_map(move |o| {
         prop::collection::vec(-0.5f32..0.5, o * c * 9)
@@ -158,6 +206,19 @@ proptest! {
         let wq: Tensor<Q16> = Tensor::from_f32_tensor(&w);
         let fast = conv2d_im2col_3x3(&xq, &wq, p);
         let reference = conv2d_reference(&xq, &wq, p);
+        prop_assert_eq!(fast.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn fast_conv_matches_reference_full_range_bits((x, w, p) in conv3x3_raw_q20_instance()) {
+        // Values far outside [-2, 2] wrap the i64 accumulator; the
+        // offset-binary kernel must wrap to the same bits, at Q20 and at
+        // Q16 (the same bit patterns read with 16 fraction bits).
+        let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
+        prop_assert_eq!(fast.as_slice(), reference.as_slice());
+        let q16 = |t: &Tensor<Q20>| t.map(|v| Q16::from_bits(v.to_bits()));
+        let (x, w) = (q16(&x), q16(&w));
+        let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
 

@@ -1,0 +1,89 @@
+//! Kernel oracle at the root: the im2col fast conv must equal the scalar
+//! `conv2d_reference` bit for bit on every rODENet conv geometry, for the
+//! PS's f32, the PL's Q20 and the reduced-range Q16.
+//!
+//! `tests/props.rs::accel_always_bit_exact` runs the fast `conv2d` on both
+//! sides of its comparison, so it cannot catch a fast kernel that drifts;
+//! this sweep can. It is a fixed, cheap sweep (well under a second), not
+//! a proptest: the randomized oracles live in `crates/tensor/tests`.
+
+use qfixed::{Q16, Q20};
+use tensor::conv::{conv2d_im2col_3x3, conv2d_reference, Conv2dParams};
+use tensor::{Scalar, Shape4, Tensor};
+
+/// `(name, in channels, out channels, extent)` of every 3×3 conv in
+/// rODENet-3-56: the stem, one conv of each ODE block, and layer3_2's
+/// 65-channel input (64 maps plus the concatenated time channel).
+const CONV_GEOMS: [(&str, usize, usize, usize); 5] = [
+    ("conv1", 3, 16, 32),
+    ("layer1", 16, 16, 32),
+    ("layer2_1", 32, 32, 16),
+    ("layer3_1", 64, 64, 8),
+    ("layer3_2", 65, 64, 8),
+];
+
+/// Deterministic values in [-1, 1).
+fn uniform(shape: Shape4, seed: u64) -> Tensor<f32> {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    Tensor::from_fn(shape, |_, _, _, _| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    })
+}
+
+fn assert_fast_is_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams, what: &str) {
+    let fast = conv2d_im2col_3x3(x, w, p);
+    let reference = conv2d_reference(x, w, p);
+    assert!(
+        fast.as_slice() == reference.as_slice(),
+        "{what}: fast conv differs from conv2d_reference"
+    );
+}
+
+/// The f32 case and its Q20 and Q16 quantizations.
+fn check_all_types(x: &Tensor<f32>, w: &Tensor<f32>, p: Conv2dParams, name: &str) {
+    assert_fast_is_reference(x, w, p, &format!("{name} f32"));
+    let (xq, wq) = (
+        Tensor::<Q20>::from_f32_tensor(x),
+        Tensor::<Q20>::from_f32_tensor(w),
+    );
+    assert_fast_is_reference(&xq, &wq, p, &format!("{name} Q20"));
+    let (xq, wq) = (
+        Tensor::<Q16>::from_f32_tensor(x),
+        Tensor::<Q16>::from_f32_tensor(w),
+    );
+    assert_fast_is_reference(&xq, &wq, p, &format!("{name} Q16"));
+}
+
+#[test]
+fn fast_conv_is_bit_exact_on_every_rodenet_geometry() {
+    for (i, (name, cin, cout, hw)) in CONV_GEOMS.into_iter().enumerate() {
+        let x = uniform(Shape4::new(1, cin, hw, hw), 2 * i as u64 + 1);
+        let w = uniform(Shape4::new(cout, cin, 3, 3), 2 * i as u64 + 2);
+        check_all_types(&x, &w, Conv2dParams::same_3x3(), name);
+    }
+}
+
+#[test]
+fn fast_conv_is_bit_exact_on_the_stride2_downsample() {
+    // layer3_1's downsampling conv: 32 → 64 channels, 16×16 → 8×8.
+    let x = uniform(Shape4::new(1, 32, 16, 16), 11);
+    let w = uniform(Shape4::new(64, 32, 3, 3), 12);
+    check_all_types(&x, &w, Conv2dParams::down_3x3(), "down3_1");
+}
+
+#[test]
+fn fast_q20_conv_wraps_like_the_reference_on_raw_bits() {
+    // Full-range bit patterns overflow the wide accumulator; both
+    // kernels must wrap it the same way.
+    let mut k = 0u32;
+    let mut bits = || {
+        k = k.wrapping_add(1);
+        Q20::from_bits(k.wrapping_mul(0x9e37_79b9).rotate_left(11) as i32)
+    };
+    let x = Tensor::from_fn(Shape4::new(1, 65, 8, 8), |_, _, _, _| bits());
+    let w = Tensor::from_fn(Shape4::new(64, 65, 3, 3), |_, _, _, _| bits());
+    assert_fast_is_reference(&x, &w, Conv2dParams::same_3x3(), "layer3_2 raw Q20");
+}
