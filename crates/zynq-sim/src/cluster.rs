@@ -148,6 +148,32 @@ impl Cluster {
     pub fn interconnect(&self) -> &Interconnect {
         &self.interconnect
     }
+
+    /// Reject hardware figures no timing model can price: a zero PS or
+    /// PL clock (every cycle would take forever), or an interconnect
+    /// whose bandwidth is not finite and positive or whose latency is
+    /// not finite and non-negative (hand-offs would cost infinite or
+    /// negative seconds).
+    pub(crate) fn validate(&self) -> Result<(), EngineError> {
+        let invalid = |board, reason| Err(EngineError::InvalidHardware { board, reason });
+        let dead = |b: &Board| b.ps_clock_hz == 0 || b.pl_clock_hz == 0;
+        if let Some(i) = self.boards.iter().position(dead) {
+            let b = &self.boards[i];
+            let (ps, pl) = (b.ps_clock_hz, b.pl_clock_hz);
+            let reason = format!("{} has a zero clock (PS {ps} Hz, PL {pl} Hz)", b.name);
+            return invalid(Some(i), reason);
+        }
+        let link = &self.interconnect;
+        let (bw, lat) = (link.bandwidth_bytes_per_s, link.latency_s);
+        if !(bw.is_finite() && bw > 0.0 && lat.is_finite() && lat >= 0.0) {
+            let reason = format!(
+                "interconnect bandwidth {bw} B/s must be finite and positive, \
+                 latency {lat} s finite and non-negative"
+            );
+            return invalid(None, reason);
+        }
+        Ok(())
+    }
 }
 
 /// How a cluster engine orders a batch across the board pipeline.
@@ -393,10 +419,12 @@ pub struct ClusterPlan {
 
 /// Resolve a sharded placement, per-board feasibility, and the full
 /// per-image pipeline for `spec` on a cluster — the numerics-free half
-/// of a cluster engine build, exactly as [`crate::plan::plan_deployment`]
-/// is for a single board.
+/// of every built-in engine build ([`crate::plan::plan_deployment`]
+/// calls it with a one-board cluster). Hardware no timing model can
+/// price is an [`EngineError::InvalidHardware`].
 pub fn plan_cluster(spec: &NetSpec, req: &ClusterRequest) -> Result<ClusterPlan, EngineError> {
     req.precision.validate()?;
+    req.cluster.validate()?;
 
     // 1. Resolve the overall placement at cluster capacity, splitting
     //    it under the request's partitioner and replication policy —

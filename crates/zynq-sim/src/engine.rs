@@ -40,30 +40,34 @@
 //! planner may legally choose placements that share the fabric with
 //! layer3_2 (footnote 2: "more layers in PL").
 //!
-//! Execution is dispatched through the [`Backend`] trait, with three
-//! built-in implementations:
+//! Every built-in engine runs on one [`ClusterPlan`]: a single board
+//! is a cluster of one, kept as a [`DeploymentPlan`] (the one-board
+//! view that adds the resolved [`BackendKind`] and the Table 5 row).
+//! Serving, load sweeps, failover and the pipelined batch schedule all
+//! read that plan. Execution is dispatched through the [`Backend`]
+//! trait, and the built-in backends are one PS+PL walk plus one
+//! fully-fixed-point path:
 //!
-//! * [`BackendKind::PsSoftware`] — everything in `f32` on the modelled
-//!   Cortex-A9 (the "w/o PL" rows of Table 5);
-//! * [`BackendKind::Hybrid`] — offloaded stages on the bit-exact
-//!   fixed-point ODEBlock circuit, the rest in `f32` software (the
-//!   paper's deployment; bit-identical to the original pre-engine
-//!   hybrid loop at the default Q20, pinned in
-//!   `tests/engine_equivalence.rs`);
-//! * [`BackendKind::PlBitExact`] — the *whole* network in the PL number
-//!   system via [`rodenet::QuantNetwork`], offloaded stages on the
-//!   modelled circuit: what a fully-fixed-point deployment would
-//!   compute. Requires on-the-fly batch norm (the circuit has no
-//!   running statistics), enforced at build time.
+//! * the **PS+PL walk** runs offloaded stages on the bit-exact
+//!   fixed-point ODEBlock circuit of the board carrying them and
+//!   everything else in `f32` on the head board's PS. It reports under
+//!   three names: `"ps-software"` ([`BackendKind::PsSoftware`]: nothing
+//!   offloaded, the "w/o PL" rows of Table 5), `"hybrid"`
+//!   ([`BackendKind::Hybrid`]: the paper's deployment, bit-identical to
+//!   the original pre-engine hybrid loop at the default Q20, pinned in
+//!   `tests/engine_equivalence.rs`), and `"cluster"` (a placement
+//!   sharded across an [`EngineBuilder::cluster`], interconnect
+//!   hand-offs folded into `pl_seconds`; with [`Schedule::Pipelined`],
+//!   [`Engine::infer_batch_summary`] reports the pipelined makespan);
+//! * `"pl-bit-exact"` ([`BackendKind::PlBitExact`]) runs the *whole*
+//!   network in the PL number system via [`rodenet::QuantNetwork`],
+//!   offloaded stages on the modelled circuit: what a fully-fixed-point
+//!   deployment would compute. Requires on-the-fly batch norm (the
+//!   circuit has no running statistics), enforced at build time.
 //!
-//! A fourth backend lives in [`crate::cluster`]: configure
-//! [`EngineBuilder::cluster`] to shard the placement across several
-//! boards (per-board circuits, modelled interconnect hand-offs) and
-//! [`EngineBuilder::schedule`] to pipeline batches through the board
-//! chain — [`Engine::infer_batch_summary`] then reports the pipelined
-//! makespan alongside the per-image reports. Further backends
-//! (alternate fabrics) implement [`Backend`] and plug in through
-//! [`EngineBuilder::custom_backend`] without touching call sites.
+//! Further backends (alternate fabrics) implement [`Backend`] and plug
+//! in through [`EngineBuilder::custom_backend`] without touching call
+//! sites.
 //!
 //! ## Batch-norm semantics (deployment parity)
 //!
@@ -76,9 +80,7 @@
 use crate::board::Board;
 #[cfg(test)]
 use crate::board::PYNQ_Z2;
-use crate::cluster::{
-    plan_cluster, Cluster, ClusterPlan, ClusterRequest, Interconnect, Schedule, StageTiming,
-};
+use crate::cluster::{plan_cluster, Cluster, ClusterPlan, ClusterRequest, Interconnect, Schedule};
 use crate::datapath::OdeBlockAccel;
 use crate::partition::Partitioner;
 use crate::plan::{plan_deployment, DeploymentPlan, PlFormat, PlanRequest};
@@ -250,6 +252,18 @@ pub enum EngineError {
         /// What is malformed, in the caller's terms.
         reason: &'static str,
     },
+    /// A board or interconnect figure no timing model can price: a
+    /// zero PS or PL clock, or a link whose bandwidth is not finite and
+    /// positive or whose latency is not finite and non-negative.
+    /// Checked by [`crate::cluster::plan_cluster`], which every
+    /// built-in build runs.
+    InvalidHardware {
+        /// Index of the offending board in the cluster (`None` for the
+        /// interconnect; a single board is board 0).
+        board: Option<usize>,
+        /// What is wrong, naming the offending figures.
+        reason: String,
+    },
     /// A fault plan or health policy the fault subsystem cannot
     /// honour: an unknown board index, overlapping windows on one
     /// board, a non-positive duration or out-of-range factor, or
@@ -398,6 +412,9 @@ impl core::fmt::Display for EngineError {
             ),
             EngineError::InvalidServe { reason } => {
                 write!(f, "invalid serve request: {reason}")
+            }
+            EngineError::InvalidHardware { reason, .. } => {
+                write!(f, "invalid hardware: {reason}")
             }
             EngineError::InvalidFaultPlan { event, reason } => match event {
                 Some(i) => write!(
@@ -555,9 +572,11 @@ pub trait Backend: Send + Sync {
     fn infer(&self, x: &Tensor<f32>) -> Result<RunReport, EngineError>;
     /// Fold a batch's reports into one [`BatchSummary`] under the
     /// backend's batch schedule. The default is the additive
-    /// single-board model ([`BatchSummary::from_runs`]); backends with
-    /// their own scheduler (the cluster's pipelined mode) override the
-    /// wall-clock and latency fields.
+    /// single-board model ([`BatchSummary::from_runs`]); a custom
+    /// backend with its own scheduler overrides the wall-clock and
+    /// latency fields. Built-in engines under [`Schedule::Pipelined`]
+    /// take those fields from their plan instead (see
+    /// [`Engine::infer_batch_summary`]).
     fn summarize_batch(&self, runs: &[RunReport]) -> BatchSummary {
         BatchSummary::from_runs(runs)
     }
@@ -687,10 +706,10 @@ fn build_pl_stages(
         .collect()
 }
 
-/// Shared PS+PL walk used by the software, hybrid, and cluster
-/// backends: stages in `pl_stages` run on their pre-built circuits —
-/// each in its *own* word format, quantized at its DMA boundary —
-/// everything else runs as `f32` software with `bn` statistics. With a
+/// The PS+PL walk behind the software, hybrid, and cluster backends:
+/// stages in `pl_stages` run on their pre-built circuits — each in its
+/// *own* word format, quantized at its DMA boundary — everything else
+/// runs as `f32` software with `bn` statistics. With a
 /// uniform Q20 table this mirrors the execution order of the original
 /// pre-engine hybrid loop exactly, so logits and timing are
 /// bit-identical to the legacy path.
@@ -735,65 +754,29 @@ fn hybrid_walk(
     (logits, board.ps_seconds(ps_cycles), pl_seconds, dma_words)
 }
 
-/// PS software / hybrid backend (they differ only in `pl_stages`).
-struct HybridBackend<'n> {
+/// The PS+PL walk backend, for one board or a rack: the PS stages run
+/// on the head board, each offloaded stage on the PL fabric of the
+/// board carrying it, feature maps crossing the modelled interconnect
+/// between boards. Sharding changes *where* and *when* stages run,
+/// never the Q-format arithmetic, so logits are bit-identical to the
+/// one-board walk with the same overall placement. `infer` reports
+/// per-image additive timing, with interconnect hand-offs (zero on one
+/// board) folded into `pl_seconds`.
+struct ClusterBackend<'n> {
+    /// `"ps-software"`, `"hybrid"` or `"cluster"`.
     name: &'static str,
     net: &'n Network,
     pl_stages: Vec<PlStage>,
     offloaded: Vec<LayerName>,
     bn: BnMode,
     ps: PsModel,
-    board: Board,
-}
-
-impl Backend for HybridBackend<'_> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn offloaded(&self) -> &[LayerName] {
-        &self.offloaded
-    }
-
-    fn infer(&self, x: &Tensor<f32>) -> Result<RunReport, EngineError> {
-        let (logits, ps_seconds, pl_seconds, dma_words) =
-            hybrid_walk(self.net, x, &self.pl_stages, self.bn, &self.ps, &self.board);
-        Ok(RunReport {
-            logits,
-            images: x.shape().n,
-            ps_seconds,
-            pl_seconds,
-            dma_words,
-            offloaded: self.offloaded.clone(),
-            backend: self.name,
-        })
-    }
-}
-
-/// Multi-board cluster backend: the PS stages run on the head board,
-/// each offloaded stage on its shard's PL fabric, feature maps crossing
-/// the modelled interconnect between boards. The numerics are the
-/// hybrid walk verbatim — sharding changes *where* and *when*, never
-/// the Q-format arithmetic — so logits are bit-identical to a
-/// single-board [`BackendKind::Hybrid`] with the same overall
-/// placement. `infer` reports per-image additive timing (interconnect
-/// hand-offs folded into `pl_seconds`); `summarize_batch` additionally
-/// runs the configured [`Schedule`] over the build-time stage pipeline.
-struct ClusterBackend<'n> {
-    net: &'n Network,
-    pl_stages: Vec<PlStage>,
-    offloaded: Vec<LayerName>,
-    bn: BnMode,
-    ps: PsModel,
     head: Board,
-    schedule: Schedule,
-    timeline: Vec<StageTiming>,
     transfer_seconds: f64,
 }
 
 impl Backend for ClusterBackend<'_> {
     fn name(&self) -> &'static str {
-        "cluster"
+        self.name
     }
 
     fn offloaded(&self) -> &[LayerName] {
@@ -810,18 +793,8 @@ impl Backend for ClusterBackend<'_> {
             pl_seconds: pl_seconds + self.transfer_seconds,
             dma_words,
             offloaded: self.offloaded.clone(),
-            backend: self.name(),
+            backend: self.name,
         })
-    }
-
-    fn summarize_batch(&self, runs: &[RunReport]) -> BatchSummary {
-        let mut s = BatchSummary::from_runs(runs);
-        if self.schedule == Schedule::Pipelined && s.images > 0 {
-            let run = crate::cluster::pipelined_schedule(&self.timeline, s.images);
-            s.wall_seconds = run.makespan;
-            (s.latency_p50, s.latency_p99, s.latency_max) = latency_percentiles(run.latencies);
-        }
-        s
     }
 }
 
@@ -1096,18 +1069,39 @@ impl<'n> EngineBuilder<'n> {
         self.precision.resolve(self.net, self.bn)
     }
 
-    /// The [`PlanRequest`] equivalent of this builder's configuration,
-    /// with the precision policy already resolved.
-    fn plan_request(&self) -> Result<PlanRequest, EngineError> {
-        Ok(PlanRequest {
+    /// [`EngineBuilder::plan`] with the precision policy already
+    /// resolved to `precision`.
+    fn plan_with(&self, precision: StageFormats) -> Result<DeploymentPlan, EngineError> {
+        let req = PlanRequest {
             board: self.board,
             offload: self.offload,
             backend: self.backend,
             bn: self.bn,
             ps: self.ps,
             pl: self.pl,
-            precision: self.resolve_precision()?,
-        })
+            precision,
+        };
+        plan_deployment(&self.net.spec, &req)
+    }
+
+    /// [`EngineBuilder::plan_cluster`] with the precision policy
+    /// already resolved to `precision`.
+    fn plan_cluster_with(&self, precision: StageFormats) -> Result<ClusterPlan, EngineError> {
+        let cluster = self.cluster.clone().unwrap_or_else(|| {
+            Cluster::homogeneous(&self.board, 1, Interconnect::GIGABIT_ETHERNET)
+        });
+        let req = ClusterRequest {
+            cluster,
+            offload: self.offload,
+            bn: self.bn,
+            ps: self.ps,
+            pl: self.pl,
+            precision,
+            schedule: self.schedule,
+            partitioner: self.partitioner,
+            replication: self.replication,
+        };
+        plan_cluster(&self.net.spec, &req)
     }
 
     /// Resolve placement, backend, width-aware feasibility, and the
@@ -1124,7 +1118,7 @@ impl<'n> EngineBuilder<'n> {
     /// configured [`EngineBuilder::cluster`]: this is the single-board
     /// plan; see [`EngineBuilder::plan_cluster`] for the sharded one.
     pub fn plan(&self) -> Result<DeploymentPlan, EngineError> {
-        plan_deployment(&self.net.spec, &self.plan_request()?)
+        self.plan_with(self.resolve_precision()?)
     }
 
     /// The sharded-placement counterpart of [`EngineBuilder::plan`]:
@@ -1135,27 +1129,7 @@ impl<'n> EngineBuilder<'n> {
     /// [`EngineBuilder::board`] (useful to compare the pipelined
     /// schedule against the plain additive engine).
     pub fn plan_cluster(&self) -> Result<ClusterPlan, EngineError> {
-        let cluster = self.cluster.clone().unwrap_or_else(|| {
-            Cluster::homogeneous(
-                &self.board,
-                1,
-                crate::cluster::Interconnect::GIGABIT_ETHERNET,
-            )
-        });
-        plan_cluster(
-            &self.net.spec,
-            &ClusterRequest {
-                cluster,
-                offload: self.offload,
-                bn: self.bn,
-                ps: self.ps,
-                pl: self.pl,
-                precision: self.resolve_precision()?,
-                schedule: self.schedule,
-                partitioner: self.partitioner,
-                replication: self.replication,
-            },
-        )
+        self.plan_cluster_with(self.resolve_precision()?)
     }
 
     /// Validate the configuration ([`EngineBuilder::plan`] /
@@ -1181,29 +1155,18 @@ impl<'n> EngineBuilder<'n> {
                 .validate(self.cluster.as_ref().map_or(1, Cluster::len))?;
             self.health.validate()?;
         }
+        let formats = self.resolve_precision()?;
         if let Some(custom) = self.custom.take() {
-            return Ok(Engine {
-                target: OffloadTarget::None,
-                board: self.board,
-                bn: self.bn,
-                formats: self.resolve_precision()?,
-                plan: None,
-                cluster_plan: None,
-                backend: custom,
-                trace_enabled: self.trace,
-                faults: self.faults,
-                health: self.health,
-                last_trace: std::sync::Mutex::new(None),
-            });
+            return Ok(self.into_engine(formats, None, custom));
         }
 
         // Monomorphize `$build::<S>($($arg),*)` over every executable
-        // word width — the *uniform* dispatch, used by the backends
-        // that run the whole network in one number system. The arms
-        // must stay in lockstep with `PlFormat::EXECUTABLE_WIDTHS`
-        // (the forward direction is pinned by
-        // `every_listed_executable_width_builds`); the per-stage
-        // hybrid path dispatches through `AnyAccel` instead.
+        // word width — the *uniform* dispatch, used by the backend that
+        // runs the whole network in one number system. The arms must
+        // stay in lockstep with `PlFormat::EXECUTABLE_WIDTHS` (the
+        // forward direction is pinned by
+        // `every_listed_executable_width_builds`); the per-stage walk
+        // dispatches through `AnyAccel` instead.
         macro_rules! dispatch_width {
             ($format:expr, $build:ident($($arg:expr),*)) => {{
                 let q = $format.qformat().expect("validated by plan()");
@@ -1231,99 +1194,28 @@ impl<'n> EngineBuilder<'n> {
             }};
         }
 
-        if self.cluster.is_some() {
-            let cplan = self.plan_cluster()?;
-            // The cluster backend is the hybrid walk with per-board
-            // circuits; a backend that forbids PL stages (or replaces
-            // the PS numerics) cannot honor it.
-            match self.backend {
-                BackendKind::Auto | BackendKind::Hybrid => {}
-                BackendKind::PsSoftware => {
-                    return Err(EngineError::BackendConflict {
-                        backend: "ps-software",
-                        target: cplan.target(),
-                    });
-                }
-                BackendKind::PlBitExact => {
-                    return Err(EngineError::BackendConflict {
-                        backend: "pl-bit-exact",
-                        target: cplan.target(),
-                    });
-                }
+        let deployment = if self.cluster.is_some() {
+            let cplan = self.plan_cluster_with(formats)?;
+            // A rack runs the PS+PL walk with per-board circuits; a
+            // backend that forbids PL stages (or replaces the PS
+            // numerics) cannot honor it.
+            let backend = match self.backend {
+                BackendKind::Auto | BackendKind::Hybrid => None,
+                BackendKind::PsSoftware => Some("ps-software"),
+                BackendKind::PlBitExact => Some("pl-bit-exact"),
+            };
+            if let Some(backend) = backend {
+                return Err(EngineError::BackendConflict {
+                    backend,
+                    target: cplan.target(),
+                });
             }
-            let formats = *cplan.precision();
-            require_uniform_datapath(&formats)?;
-            let offloaded: Vec<LayerName> = cplan.target().layers().to_vec();
-            let pl_stages = build_pl_stages(
-                self.net,
-                &offloaded,
-                &formats,
-                cplan.pl_model().parallelism,
-                |layer| {
-                    let board = cplan.board_of(layer).expect("offloaded layers are sharded");
-                    cplan.cluster().boards()[board]
-                },
-            )?;
-            let backend: Box<dyn Backend + 'n> = Box::new(ClusterBackend {
-                net: self.net,
-                pl_stages,
-                offloaded,
-                bn: cplan.bn_mode(),
-                ps: *cplan.ps_model(),
-                head: *cplan.cluster().head(),
-                schedule: cplan.schedule(),
-                timeline: cplan.timeline().to_vec(),
-                transfer_seconds: cplan.transfer_seconds(),
-            });
-            return Ok(Engine {
-                target: cplan.target(),
-                board: *cplan.cluster().head(),
-                bn: self.bn,
-                formats,
-                plan: None,
-                cluster_plan: Some(cplan),
-                backend,
-                trace_enabled: self.trace,
-                faults: self.faults,
-                health: self.health,
-                last_trace: std::sync::Mutex::new(None),
-            });
-        }
-
-        let plan = self.plan()?;
-        let formats = *plan.precision();
-        let backend: Box<dyn Backend + 'n> = match plan.backend_kind() {
-            // The software path never touches the PL number system.
-            BackendKind::PsSoftware => Box::new(HybridBackend {
-                name: "ps-software",
-                net: self.net,
-                pl_stages: Vec::new(),
-                offloaded: Vec::new(),
-                bn: self.bn,
-                ps: self.ps,
-                board: self.board,
-            }),
-            BackendKind::Hybrid => {
-                require_uniform_datapath(&formats)?;
-                let target = plan.target();
-                let pl_stages = build_pl_stages(
-                    self.net,
-                    target.layers(),
-                    &formats,
-                    plan.pl_model().parallelism,
-                    |_| *plan.board(),
-                )?;
-                Box::new(HybridBackend {
-                    name: "hybrid",
-                    net: self.net,
-                    pl_stages,
-                    offloaded: target.layers().to_vec(),
-                    bn: plan.bn_mode(),
-                    ps: *plan.ps_model(),
-                    board: *plan.board(),
-                })
-            }
-            BackendKind::PlBitExact => {
+            Deployment::Rack(cplan)
+        } else {
+            Deployment::Board(self.plan_with(formats)?)
+        };
+        let backend = match &deployment {
+            Deployment::Board(plan) if plan.backend_kind() == BackendKind::PlBitExact => {
                 // The fully-fixed-point network is one number system;
                 // a per-stage table cannot be honored.
                 let Some(uniform) = formats.uniform_format() else {
@@ -1331,24 +1223,97 @@ impl<'n> EngineBuilder<'n> {
                         backend: "pl-bit-exact",
                     });
                 };
-                dispatch_width!(uniform, build_bit_exact_backend(self.net, &plan))
+                dispatch_width!(uniform, build_bit_exact_backend(self.net, plan))
             }
-            BackendKind::Auto => unreachable!("plan() resolves Auto"),
+            walk => build_walk_backend(self.net, walk, &formats)?,
         };
-        Ok(Engine {
-            target: plan.target(),
-            board: self.board,
+        Ok(self.into_engine(formats, Some(deployment), backend))
+    }
+
+    fn into_engine(
+        self,
+        formats: StageFormats,
+        deployment: Option<Deployment>,
+        backend: Box<dyn Backend + 'n>,
+    ) -> Engine<'n> {
+        Engine {
+            // A rack reports its head board.
+            board: deployment
+                .as_ref()
+                .map_or(self.board, |d| *d.cluster().cluster().head()),
             bn: self.bn,
             formats,
-            plan: Some(plan),
-            cluster_plan: None,
+            deployment,
             backend,
             trace_enabled: self.trace,
             faults: self.faults,
             health: self.health,
             last_trace: std::sync::Mutex::new(None),
-        })
+        }
     }
+}
+
+/// The plan a built-in engine runs on. A single board is a cluster of
+/// one, so both arms carry a [`ClusterPlan`] underneath.
+enum Deployment {
+    /// One board: the one-board view, with its resolved backend and
+    /// Table 5 row.
+    Board(DeploymentPlan),
+    /// A configured [`EngineBuilder::cluster`].
+    Rack(ClusterPlan),
+}
+
+impl Deployment {
+    /// The cluster plan underneath: the stage pipeline every serve,
+    /// sweep, failover and pipelined batch replays.
+    fn cluster(&self) -> &ClusterPlan {
+        match self {
+            Deployment::Board(plan) => plan.cluster_plan(),
+            Deployment::Rack(plan) => plan,
+        }
+    }
+}
+
+/// Pre-quantize — once — the offloaded stages of `deployment` onto the
+/// fabric of the board carrying each, and build the PS+PL walk over
+/// them, named after what it runs: `"cluster"` on a rack,
+/// `"ps-software"` or `"hybrid"` on one board.
+fn build_walk_backend<'n>(
+    net: &'n Network,
+    deployment: &Deployment,
+    formats: &StageFormats,
+) -> Result<Box<dyn Backend + 'n>, EngineError> {
+    let name = match deployment {
+        Deployment::Rack(_) => "cluster",
+        Deployment::Board(plan) if plan.backend_kind() == BackendKind::PsSoftware => "ps-software",
+        Deployment::Board(_) => "hybrid",
+    };
+    // The software path never touches the PL number system.
+    if name != "ps-software" {
+        require_uniform_datapath(formats)?;
+    }
+    let cplan = deployment.cluster();
+    let offloaded = cplan.target().layers().to_vec();
+    let pl_stages = build_pl_stages(
+        net,
+        &offloaded,
+        formats,
+        cplan.pl_model().parallelism,
+        |layer| {
+            let board = cplan.board_of(layer).expect("offloaded layers are sharded");
+            cplan.cluster().boards()[board]
+        },
+    )?;
+    Ok(Box::new(ClusterBackend {
+        name,
+        net,
+        pl_stages,
+        offloaded,
+        bn: cplan.bn_mode(),
+        ps: *cplan.ps_model(),
+        head: *cplan.cluster().head(),
+        transfer_seconds: cplan.transfer_seconds(),
+    }))
 }
 
 /// A *uniform* policy in a format without a datapath is rejected at
@@ -1394,12 +1359,11 @@ fn build_bit_exact_backend<'n, S: Scalar>(
 /// flow. `infer` borrows the engine immutably, so one engine can serve
 /// from multiple threads behind a shared reference.
 pub struct Engine<'n> {
-    target: OffloadTarget,
     board: Board,
     bn: BnMode,
     formats: StageFormats,
-    plan: Option<DeploymentPlan>,
-    cluster_plan: Option<ClusterPlan>,
+    /// `None` for custom backends: they own their execution strategy.
+    deployment: Option<Deployment>,
     backend: Box<dyn Backend + 'n>,
     trace_enabled: bool,
     faults: crate::fault::FaultPlan,
@@ -1413,7 +1377,7 @@ pub struct Engine<'n> {
 impl core::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Engine")
-            .field("target", &self.target)
+            .field("target", &self.target())
             .field("board", &self.board.name)
             .field("bn", &self.bn)
             .field("precision", &self.formats)
@@ -1451,20 +1415,28 @@ impl<'n> Engine<'n> {
     /// The placement the engine was built with ([`OffloadTarget::None`]
     /// for custom backends — they own their placement).
     pub fn target(&self) -> OffloadTarget {
-        self.target
+        self.deployment
+            .as_ref()
+            .map_or(OffloadTarget::None, |d| d.cluster().target())
     }
 
     /// The deployment plan the engine was built from (`None` for
     /// custom backends — they own their execution strategy — and for
     /// cluster engines, which keep a [`Engine::cluster_plan`] instead).
     pub fn plan(&self) -> Option<&DeploymentPlan> {
-        self.plan.as_ref()
+        match &self.deployment {
+            Some(Deployment::Board(plan)) => Some(plan),
+            _ => None,
+        }
     }
 
     /// The sharded cluster plan the engine was built from (`Some` only
     /// when [`EngineBuilder::cluster`] was configured).
     pub fn cluster_plan(&self) -> Option<&ClusterPlan> {
-        self.cluster_plan.as_ref()
+        match &self.deployment {
+            Some(Deployment::Rack(plan)) => Some(plan),
+            _ => None,
+        }
     }
 
     /// The configuration's cached latency decomposition (its Table 5
@@ -1474,7 +1446,7 @@ impl<'n> Engine<'n> {
     /// (the timing model is input-independent). `None` for custom
     /// backends.
     pub fn latency_report(&self) -> Option<&Table5Row> {
-        self.plan.as_ref().map(|p| p.table5())
+        self.plan().map(DeploymentPlan::table5)
     }
 
     /// The resolved per-stage PL word-format table the engine executes
@@ -1510,7 +1482,7 @@ impl<'n> Engine<'n> {
             "{} on {} — PL: {:?} ({} stage{}, {})",
             self.backend.name(),
             self.board.name,
-            self.target,
+            self.target(),
             self.offloaded().len(),
             if self.offloaded().len() == 1 { "" } else { "s" },
             self.formats,
@@ -1569,72 +1541,65 @@ impl<'n> Engine<'n> {
         Ok(runs)
     }
 
-    /// [`Engine::infer_batch`] plus the backend's batch schedule: the
-    /// per-image [`RunReport`]s (identical to `infer_batch`'s) and one
-    /// [`BatchSummary`] whose wall-clock reflects how the backend
-    /// actually orders the batch — additive for single-board engines
-    /// and [`Schedule::Sequential`] clusters, the event-driven pipeline
+    /// [`Engine::infer_batch`] plus the deployment's batch schedule:
+    /// the per-image [`RunReport`]s (identical to `infer_batch`'s) and
+    /// one [`BatchSummary`] whose wall-clock reflects how the batch is
+    /// actually ordered — additive for single-board engines and
+    /// [`Schedule::Sequential`] clusters, the event-driven pipeline
     /// makespan for [`Schedule::Pipelined`], where board *k* starts
-    /// image *i+1* as soon as it finishes image *i*.
+    /// image *i+1* as soon as it finishes image *i*. Custom backends
+    /// fold the batch with [`Backend::summarize_batch`].
     pub fn infer_batch_summary(
         &self,
         xs: &[Tensor<f32>],
     ) -> Result<(Vec<RunReport>, BatchSummary), EngineError> {
         let runs = self.infer_batch(xs)?;
-        let summary = self.backend.summarize_batch(&runs);
-        if self.trace_enabled {
-            // Replay the pipelined schedule with recording on — the
-            // traced replay is a second run of the identical
-            // deterministic sim, so the summary above is untouched.
-            if let Some(cplan) = &self.cluster_plan {
-                if cplan.schedule() == Schedule::Pipelined && summary.images > 0 {
-                    let mut rec = Recorder::enabled();
-                    crate::cluster::pipelined_schedule_released_traced(
-                        cplan.timeline(),
-                        &vec![0.0f64; summary.images],
-                        &mut rec,
-                    );
-                    let mut trace = rec.finish();
-                    trace.set_broadcast_seconds(cplan.broadcast_seconds());
-                    *self.last_trace.lock().expect("trace mutex") = Some(trace);
-                }
+        let mut summary = self.backend.summarize_batch(&runs);
+        let pipelined = self
+            .deployment
+            .as_ref()
+            .map(Deployment::cluster)
+            .filter(|plan| plan.schedule() == Schedule::Pipelined && summary.images > 0);
+        if let Some(cplan) = pipelined {
+            // Recording only reads the committed spans, so the run is
+            // bit-identical with tracing on or off.
+            let mut rec = if self.trace_enabled {
+                Recorder::enabled()
+            } else {
+                Recorder::disabled()
+            };
+            let run = crate::cluster::pipelined_schedule_released_traced(
+                cplan.timeline(),
+                &vec![0.0f64; summary.images],
+                &mut rec,
+            );
+            let latencies = run.finishes.iter().zip(&run.starts);
+            let latencies = latencies.map(|(f, s)| f - s).collect();
+            summary.wall_seconds = run.makespan;
+            (
+                summary.latency_p50,
+                summary.latency_p99,
+                summary.latency_max,
+            ) = latency_percentiles(latencies);
+            if self.trace_enabled {
+                let mut trace = rec.finish();
+                trace.set_broadcast_seconds(cplan.broadcast_seconds());
+                *self.last_trace.lock().expect("trace mutex") = Some(trace);
             }
         }
         Ok((runs, summary))
     }
 
-    /// The per-image stage pipeline serving replays arrivals against:
-    /// a cluster engine serves over its plan's timeline verbatim; a
-    /// single-board engine rebuilds its placement as the one-board
-    /// degenerate cluster pipeline (same PS/PL models, same per-stage
-    /// widths, no interconnect crossings). Custom backends own their
-    /// execution strategy and carry no plan, so they cannot serve.
-    fn serve_pipeline(&self) -> Result<Vec<StageTiming>, EngineError> {
-        if let Some(cplan) = &self.cluster_plan {
-            return Ok(cplan.timeline().to_vec());
-        }
-        let Some(plan) = &self.plan else {
-            return Err(EngineError::ServeRequiresPlan {
+    /// The plan serving replays arrivals against. Custom backends own
+    /// their execution strategy and carry no plan, so they cannot
+    /// serve.
+    fn serve_plan(&self) -> Result<&ClusterPlan, EngineError> {
+        self.deployment
+            .as_ref()
+            .map(Deployment::cluster)
+            .ok_or(EngineError::ServeRequiresPlan {
                 backend: self.backend.name(),
-            });
-        };
-        let req = ClusterRequest {
-            cluster: Cluster::homogeneous(&self.board, 1, Interconnect::GIGABIT_ETHERNET),
-            offload: Offload::Target(plan.target()),
-            bn: plan.bn_mode(),
-            ps: *plan.ps_model(),
-            pl: *plan.pl_model(),
-            precision: *plan.precision(),
-            schedule: Schedule::Pipelined,
-            partitioner: Partitioner::default(),
-            replication: Replication::None,
-        };
-        let shards: Vec<(usize, OffloadTarget)> = if plan.target() == OffloadTarget::None {
-            Vec::new()
-        } else {
-            vec![(0, plan.target())]
-        };
-        Ok(crate::cluster::build_timeline(plan.spec(), &shards, &req))
+            })
     }
 
     /// Replay an open-loop request stream against this engine's
@@ -1645,7 +1610,8 @@ impl<'n> Engine<'n> {
     /// [`crate::serve`]). Serving decides *when* each image runs,
     /// never *what* it computes: logits are untouched, and no
     /// inference executes here at all — like [`Engine::latency_report`],
-    /// this reads the build-time timing model.
+    /// this reads the build-time timing model. A single-board engine
+    /// serves over its one-board cluster plan's pipeline.
     ///
     /// Every serve runs the one serve driver (see
     /// [`crate::fault::serve_faulted`]): a fault-free engine serves a
@@ -1655,18 +1621,16 @@ impl<'n> Engine<'n> {
     /// health-driven failover replanning onto the surviving boards, and
     /// an availability section on the report.
     pub fn serve(&self, req: &ServeRequest) -> Result<ServeReport, EngineError> {
-        let failover = self.cluster_plan.as_ref().map(|plan| (plan, &self.health));
+        let cplan = self.serve_plan()?;
         let mut report = crate::fault::serve_epochs(
-            &self.serve_pipeline()?,
+            cplan.timeline(),
             req,
             &self.faults,
-            failover,
+            Some((cplan, &self.health)),
             self.trace_enabled,
         )?;
         if let Some(trace) = report.trace.as_mut() {
-            if let Some(cplan) = &self.cluster_plan {
-                trace.set_broadcast_seconds(cplan.broadcast_seconds());
-            }
+            trace.set_broadcast_seconds(cplan.broadcast_seconds());
             *self.last_trace.lock().expect("trace mutex") = Some(trace.clone());
         }
         Ok(report)
@@ -1680,7 +1644,7 @@ impl<'n> Engine<'n> {
     /// what you want; trace one [`Engine::serve`] at the load you care
     /// about instead.
     pub fn load_sweep(&self, sweep: &LoadSweep) -> Result<Vec<LoadPoint>, EngineError> {
-        crate::serve::sweep_timeline(&self.serve_pipeline()?, sweep)
+        crate::serve::sweep_timeline(self.serve_plan()?.timeline(), sweep)
     }
 
     /// The event [`Trace`] of the most recent traced run on this
@@ -2078,6 +2042,125 @@ mod tests {
             s.wall_seconds
         );
         assert!(p.latency_max >= p.latency_p50);
+
+        // Serving and load sweeps read the same one-board plan whether
+        // the board was configured alone or as a cluster of one: the
+        // reports are bit-equal for the hybrid and the software walk.
+        let req = ServeRequest {
+            arrivals: crate::serve::ArrivalProcess::Poisson { rate: 4.0 },
+            images: 48,
+            dispatch: crate::serve::Dispatch::default(),
+            seed: 5,
+            window: crate::serve::Window::default(),
+        };
+        let sweep = LoadSweep {
+            fractions: vec![0.5, 1.1],
+            images: 48,
+            ..LoadSweep::default()
+        };
+        for (offload, name) in [
+            (Offload::Auto, "hybrid"),
+            (Offload::Target(OffloadTarget::None), "ps-software"),
+        ] {
+            let single = Engine::builder(&net).offload(offload).build().unwrap();
+            assert_eq!(single.backend_name(), name);
+            let rack = Engine::builder(&net)
+                .offload(offload)
+                .cluster(Cluster::homogeneous(
+                    &PYNQ_Z2,
+                    1,
+                    Interconnect::GIGABIT_ETHERNET,
+                ))
+                .build()
+                .unwrap();
+            assert_eq!(rack.target(), single.target());
+            assert_eq!(single.serve(&req), rack.serve(&req), "{offload:?}");
+            assert_eq!(
+                format!("{:?}", single.load_sweep(&sweep)),
+                format!("{:?}", rack.load_sweep(&sweep)),
+                "{offload:?}"
+            );
+        }
+
+        // The fully-fixed-point engine serves over its plan's one-board
+        // pipeline, with no serve-time plan of its own.
+        let bit_exact = Engine::builder(&net)
+            .backend(BackendKind::PlBitExact)
+            .build()
+            .unwrap();
+        let timeline = bit_exact
+            .plan()
+            .expect("single-board plan")
+            .cluster_plan()
+            .timeline();
+        assert_eq!(
+            bit_exact.serve(&req),
+            crate::serve::serve_timeline(timeline, &req)
+        );
+    }
+
+    #[test]
+    fn impossible_hardware_is_a_typed_error() {
+        use crate::board::ARTY_Z7_20;
+        use crate::cluster::{Cluster, Interconnect};
+        let net = net(Variant::ROdeNet3);
+        let is_invalid = |r: Result<Engine<'_>, EngineError>| {
+            matches!(r, Err(EngineError::InvalidHardware { .. }))
+        };
+        // A zero PS clock used to build, price every PS cycle at
+        // infinity and trip the serve driver's image conservation.
+        let ps_dead = Board {
+            ps_clock_hz: 0,
+            ..PYNQ_Z2
+        };
+        assert!(is_invalid(Engine::builder(&net).board(&ps_dead).build()));
+        // A zero PL clock used to report pl_seconds = inf.
+        let pl_dead = Board {
+            pl_clock_hz: 0,
+            ..PYNQ_Z2
+        };
+        assert!(is_invalid(
+            Engine::builder(&net)
+                .board(&pl_dead)
+                .offload(Offload::Target(OffloadTarget::Layer32))
+                .build()
+        ));
+        assert!(matches!(
+            Engine::builder(&net).board(&pl_dead).plan(),
+            Err(EngineError::InvalidHardware { board: Some(0), .. })
+        ));
+        // A negative link latency used to report negative PL seconds.
+        let odenet = Network::new(NetSpec::new(Variant::OdeNet, 20).with_classes(10), 77);
+        for link in [
+            Interconnect {
+                latency_s: -1.0,
+                ..Interconnect::GIGABIT_ETHERNET
+            },
+            Interconnect {
+                latency_s: f64::NAN,
+                ..Interconnect::GIGABIT_ETHERNET
+            },
+            Interconnect {
+                bandwidth_bytes_per_s: 0.0,
+                ..Interconnect::GIGABIT_ETHERNET
+            },
+            Interconnect {
+                bandwidth_bytes_per_s: f64::INFINITY,
+                ..Interconnect::GIGABIT_ETHERNET
+            },
+        ] {
+            let err = Engine::builder(&odenet)
+                .cluster(Cluster::homogeneous(&ARTY_Z7_20, 2, link))
+                .build()
+                .expect_err("unpriceable link");
+            assert!(
+                matches!(err, EngineError::InvalidHardware { board: None, .. }),
+                "{link:?}: {err}"
+            );
+            let _ = err.to_string();
+        }
+        // The paper's hardware is untouched by the check.
+        assert!(Engine::builder(&net).build().is_ok());
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * [`plan`] — numerics-free deployment planning: [`DeploymentPlan`]
 //!   resolves placement, width-aware resources, and the cached Table 5
 //!   timing for any PL word format ([`PlFormat`]) before a single
-//!   weight is quantized;
+//!   weight is quantized — a one-board view over a [`ClusterPlan`];
 //! * [`precision`] — per-stage word-format policies: one uniform
 //!   format, an explicit [`StageFormats`] table (layer1 at Q16 next to
 //!   layer3_2 at Q20), or [`Precision::Calibrated`], which measures

@@ -22,17 +22,22 @@
 //! layer3_2-sharing placements a 32-bit plan must reject — and a mixed
 //! plan can pair a Q20 layer1 with a Q16 layer3_2 on one fabric.
 //!
-//! An [`crate::engine::Offload::Auto`] request resolves through the
-//! unified partitioner cost path ([`crate::partition`]) — the same
-//! search [`crate::cluster::plan_cluster`] runs, with this plan's
-//! board as a 1-board cluster — so single-board and sharded plans can
-//! never disagree about which placement is fastest.
+//! A single board is a cluster of one. [`plan_deployment`] checks a
+//! fixed target against the board, then plans the board as a one-board
+//! [`ClusterPlan`] with [`crate::cluster::plan_cluster`]: placement
+//! search, per-stage resources and the per-image stage pipeline are
+//! the rack's, so single-board and sharded plans can never disagree
+//! about which placement is fastest. A [`DeploymentPlan`] is a view
+//! over that cluster plan that adds what only one board has: the
+//! resolved [`BackendKind`] and the paper's Table 5 row.
 
 use crate::board::{Board, PYNQ_Z2};
+use crate::cluster::{plan_cluster, Cluster, ClusterPlan, ClusterRequest, Interconnect, Schedule};
 use crate::engine::{BackendKind, EngineError, Offload};
-use crate::planner::{plan_offload_extended_with, plan_offload_with, OffloadTarget};
+use crate::partition::Partitioner;
+use crate::planner::OffloadTarget;
 use crate::precision::StageFormats;
-use crate::resources::{bram36_at_width, dsp_slices_at_width, modelled_lut_ff_at};
+use crate::replica::Replication;
 use crate::timing::{table5_row_with, PlModel, PsModel, Table5Row};
 use qfixed::QFormat;
 use rodenet::{BnMode, LayerName, NetSpec};
@@ -143,21 +148,16 @@ impl core::fmt::Display for PlFormat {
     }
 }
 
-/// Everything the builder decides, minus the engine: see module docs.
-/// Constructed by [`plan_deployment`] /
+/// Everything the builder decides for one board, minus the engine:
+/// see module docs. A thin view over a one-board [`ClusterPlan`] (the
+/// plan the engine runs on) that adds the resolved [`BackendKind`] and
+/// the configuration's Table 5 row. Constructed by [`plan_deployment`] /
 /// [`crate::engine::EngineBuilder::plan`]; every accessor is pure — no
 /// numerics ran and none will.
 #[derive(Clone, Debug)]
 pub struct DeploymentPlan {
-    spec: NetSpec,
-    board: Board,
-    target: OffloadTarget,
-    formats: StageFormats,
+    cluster: ClusterPlan,
     backend: BackendKind,
-    bn: BnMode,
-    ps: PsModel,
-    pl: PlModel,
-    stages: Vec<PlannedStage>,
     timing: Table5Row,
 }
 
@@ -236,8 +236,16 @@ impl Default for PlanRequest {
     }
 }
 
-/// Resolve placement, backend, feasibility, and timing for `spec` —
-/// the numerics-free half of [`crate::engine::EngineBuilder::build`].
+/// Resolve placement, backend, feasibility, and timing for `spec` on
+/// one board — the numerics-free half of
+/// [`crate::engine::EngineBuilder::build`].
+///
+/// The placement is planned by [`plan_cluster`] over a one-board
+/// cluster of `req.board`, so single-board and sharded plans share one
+/// search, one stage table and one per-image pipeline. A fixed target
+/// is checked against the board first: one board reports
+/// [`EngineError::InfeasiblePlacement`], not the rack's
+/// [`EngineError::ShardInfeasible`].
 ///
 /// Any structurally valid [`PlFormat`] plans, including widths the
 /// engine cannot execute (an 8-bit plan is a legitimate resource-model
@@ -246,42 +254,44 @@ impl Default for PlanRequest {
 pub fn plan_deployment(spec: &NetSpec, req: &PlanRequest) -> Result<DeploymentPlan, EngineError> {
     req.precision.validate()?;
 
-    // 1. Resolve the placement at the requested per-stage word widths.
-    let target = match req.offload {
-        Offload::Auto => plan_offload_with(
-            spec,
-            &req.board,
-            req.pl.parallelism,
-            &req.ps,
-            &req.pl,
-            &req.precision,
-        ),
-        Offload::AutoExtended => plan_offload_extended_with(
-            spec,
-            &req.board,
-            req.pl.parallelism,
-            &req.ps,
-            &req.pl,
-            &req.precision,
-        ),
-        Offload::Target(t) => {
-            if !t.applicable_extended(spec) {
-                return Err(EngineError::TargetNotApplicable {
-                    target: t,
-                    variant: spec.variant,
-                });
-            }
-            if !t.fits_with(&req.board, req.pl.parallelism, &req.precision) {
-                return Err(EngineError::InfeasiblePlacement {
-                    target: t,
-                    parallelism: req.pl.parallelism,
-                });
-            }
-            t
+    // 1. A fixed placement must exist in the architecture and fit the
+    //    board's fabric at the requested per-stage word widths.
+    if let Offload::Target(t) = req.offload {
+        if !t.applicable_extended(spec) {
+            return Err(EngineError::TargetNotApplicable {
+                target: t,
+                variant: spec.variant,
+            });
         }
-    };
+        if !t.fits_with(&req.board, req.pl.parallelism, &req.precision) {
+            return Err(EngineError::InfeasiblePlacement {
+                target: t,
+                parallelism: req.pl.parallelism,
+            });
+        }
+    }
 
-    // 2. Resolve the backend and check conflicts.
+    // 2. Placement, per-stage resources and the stage pipeline: the
+    //    board as a cluster of one, under the planner's own search
+    //    settings. A sequential schedule keeps the engine's batch
+    //    summary additive, as one board serves one image at a time.
+    let cluster = plan_cluster(
+        spec,
+        &ClusterRequest {
+            cluster: Cluster::homogeneous(&req.board, 1, Interconnect::GIGABIT_ETHERNET),
+            offload: req.offload,
+            bn: req.bn,
+            ps: req.ps,
+            pl: req.pl,
+            precision: req.precision,
+            schedule: Schedule::Sequential,
+            partitioner: Partitioner::FirstFit,
+            replication: Replication::None,
+        },
+    )?;
+    let target = cluster.target();
+
+    // 3. Resolve the backend and check conflicts.
     let backend = match req.backend {
         BackendKind::Auto => {
             if target == OffloadTarget::None {
@@ -304,30 +314,8 @@ pub fn plan_deployment(spec: &NetSpec, req: &PlanRequest) -> Result<DeploymentPl
         });
     }
 
-    // 3. Per-stage width-aware resources + timing — each stage at its
-    //    own resolved word width — and the cached row.
-    let stages = target
-        .layers()
-        .iter()
-        .map(|&layer| {
-            let plan = spec.plan(layer);
-            let execs = if plan.is_ode { plan.execs } else { 1 };
-            let bytes = req.precision.bytes_of(layer);
-            let (lut, ff) = modelled_lut_ff_at(layer, req.pl.parallelism, bytes);
-            PlannedStage {
-                layer,
-                format: req.precision.format_of(layer),
-                execs,
-                bram36: bram36_at_width(layer, req.pl.parallelism, bytes),
-                dsp: dsp_slices_at_width(req.pl.parallelism, bytes),
-                lut,
-                ff,
-                pl_seconds: req.pl.stage_seconds_at(layer, execs, &req.board, bytes),
-                dma_words: crate::datapath::dma_words_at(layer, bytes),
-                param_bytes: crate::resources::stage_param_bytes(spec, layer, bytes),
-            }
-        })
-        .collect();
+    // 4. The cached Table 5 row, from the paper's additive model (its
+    //    sums are not the pipeline's, so it is computed, not derived).
     let timing = table5_row_with(
         spec.variant,
         spec.n,
@@ -339,15 +327,8 @@ pub fn plan_deployment(spec: &NetSpec, req: &PlanRequest) -> Result<DeploymentPl
     );
 
     Ok(DeploymentPlan {
-        spec: *spec,
-        board: req.board,
-        target,
-        formats: req.precision,
+        cluster,
         backend,
-        bn: req.bn,
-        ps: req.ps,
-        pl: req.pl,
-        stages,
         timing,
     })
 }
@@ -355,23 +336,23 @@ pub fn plan_deployment(spec: &NetSpec, req: &PlanRequest) -> Result<DeploymentPl
 impl DeploymentPlan {
     /// The architecture this plan deploys.
     pub fn spec(&self) -> &NetSpec {
-        &self.spec
+        self.cluster.spec()
     }
 
     /// The configured device.
     pub fn board(&self) -> &Board {
-        &self.board
+        self.cluster.cluster().head()
     }
 
     /// The resolved placement.
     pub fn target(&self) -> OffloadTarget {
-        self.target
+        self.cluster.target()
     }
 
     /// The resolved per-stage PL word-format table the plan was
     /// computed for.
     pub fn precision(&self) -> &StageFormats {
-        &self.formats
+        self.cluster.precision()
     }
 
     /// The resolved (never `Auto`) backend kind.
@@ -381,22 +362,29 @@ impl DeploymentPlan {
 
     /// The PS-side batch-norm statistics mode.
     pub fn bn_mode(&self) -> BnMode {
-        self.bn
+        self.cluster.bn_mode()
     }
 
     /// The PS cost model the timing was computed with.
     pub fn ps_model(&self) -> &PsModel {
-        &self.ps
+        self.cluster.ps_model()
     }
 
     /// The PL circuit configuration (parallelism).
     pub fn pl_model(&self) -> &PlModel {
-        &self.pl
+        self.cluster.pl_model()
     }
 
     /// The offloaded stages with width-aware resources and timing.
     pub fn stages(&self) -> &[PlannedStage] {
-        &self.stages
+        self.cluster.shards().first().map_or(&[], |s| &s.stages)
+    }
+
+    /// The one-board [`ClusterPlan`] this view wraps: the stage
+    /// pipeline [`crate::engine::Engine::serve`] replays and the plan
+    /// every built-in engine runs on.
+    pub fn cluster_plan(&self) -> &ClusterPlan {
+        &self.cluster
     }
 
     /// The configuration's Table 5 row, cached at plan time — serve
@@ -414,7 +402,7 @@ impl DeploymentPlan {
 
     /// Modelled PL seconds per image across all offloaded stages.
     pub fn pl_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.pl_seconds).sum()
+        self.stages().iter().map(|s| s.pl_seconds).sum()
     }
 
     /// Modelled PS seconds per image (total minus the PL share).
@@ -424,29 +412,29 @@ impl DeploymentPlan {
 
     /// 32-bit AXI bus words per image.
     pub fn dma_words(&self) -> u64 {
-        self.stages.iter().map(|s| s.dma_words).sum()
+        self.stages().iter().map(|s| s.dma_words).sum()
     }
 
     /// Total BRAM36-equivalents of the planned circuits at the plan's
     /// word width.
     pub fn bram36_used(&self) -> f64 {
-        self.stages.iter().map(|s| s.bram36).sum()
+        self.stages().iter().map(|s| s.bram36).sum()
     }
 
     /// Total DSP48E1 slices of the planned circuits.
     pub fn dsp_used(&self) -> u32 {
-        self.stages.iter().map(|s| s.dsp).sum()
+        self.stages().iter().map(|s| s.dsp).sum()
     }
 
     /// One-line human description for logs and examples.
     pub fn describe(&self) -> String {
         format!(
             "{} · {} · {:?} ({} PL stage{}, {:.1} BRAM36) · {:.3}s/img",
-            self.spec.display_name(),
-            self.formats,
-            self.target,
-            self.stages.len(),
-            if self.stages.len() == 1 { "" } else { "s" },
+            self.spec().display_name(),
+            self.precision(),
+            self.target(),
+            self.stages().len(),
+            if self.stages().len() == 1 { "" } else { "s" },
             self.bram36_used(),
             self.total_seconds(),
         )

@@ -190,3 +190,162 @@ fn conflict_classes_are_the_documented_errors() {
         .build()
         .is_ok());
 }
+
+/// Plan-equivalence matrix: every single-board plan is checked against
+/// oracles computed here, straight from the planner, resource and
+/// timing models — never from the plan's own code path. 7 variants ×
+/// N ∈ {20, 56} × three boards × two word widths × three
+/// parallelisms × {Auto, AutoExtended, every fixed target}.
+#[test]
+fn single_board_plans_match_the_models() {
+    use zynq_sim::datapath::dma_words_at;
+    use zynq_sim::planner::{plan_offload_extended_with, plan_offload_with};
+    use zynq_sim::resources::{
+        bram36_at_width, dsp_slices_at_width, modelled_lut_ff_at, stage_param_bytes,
+    };
+    use zynq_sim::timing::table5_row_with;
+    use zynq_sim::{ARTY_Z7_10, ARTY_Z7_20};
+
+    let offloads: Vec<Offload> = [Offload::Auto, Offload::AutoExtended]
+        .into_iter()
+        .chain(OffloadTarget::ALL.into_iter().map(Offload::Target))
+        .collect();
+    let (mut planned, mut infeasible, mut not_applicable) = (0usize, 0usize, 0usize);
+    for variant in Variant::ALL {
+        for n in [20, 56] {
+            let spec = NetSpec::new(variant, n);
+            for board in [PYNQ_Z2, ARTY_Z7_20, ARTY_Z7_10] {
+                for format in [PlFormat::Q20, PlFormat::Q16 { frac: 10 }] {
+                    let formats = StageFormats::uniform(format);
+                    for parallelism in [8, 16, 32] {
+                        let pl = PlModel { parallelism };
+                        let ps = PsModel::Calibrated;
+                        for offload in offloads.iter().copied() {
+                            let req = PlanRequest {
+                                board,
+                                offload,
+                                pl,
+                                ps,
+                                precision: formats,
+                                ..PlanRequest::default()
+                            };
+                            let ctx = format!(
+                                "{variant:?}-{n} on {} at {format:?}, conv_x{parallelism}, \
+                                 {offload:?}",
+                                board.name
+                            );
+                            let result = plan_deployment(&spec, &req);
+                            let expected = match offload {
+                                Offload::Auto => plan_offload_with(
+                                    &spec,
+                                    &board,
+                                    parallelism,
+                                    &ps,
+                                    &pl,
+                                    &formats,
+                                ),
+                                Offload::AutoExtended => plan_offload_extended_with(
+                                    &spec,
+                                    &board,
+                                    parallelism,
+                                    &ps,
+                                    &pl,
+                                    &formats,
+                                ),
+                                Offload::Target(t) => {
+                                    if !t.applicable_extended(&spec) {
+                                        not_applicable += 1;
+                                        assert_eq!(
+                                            result.as_ref().err(),
+                                            Some(&EngineError::TargetNotApplicable {
+                                                target: t,
+                                                variant,
+                                            }),
+                                            "{ctx}"
+                                        );
+                                        continue;
+                                    }
+                                    if !t.fits_with(&board, parallelism, &formats) {
+                                        infeasible += 1;
+                                        assert_eq!(
+                                            result.as_ref().err(),
+                                            Some(&EngineError::InfeasiblePlacement {
+                                                target: t,
+                                                parallelism,
+                                            }),
+                                            "{ctx}"
+                                        );
+                                        continue;
+                                    }
+                                    t
+                                }
+                            };
+                            let plan = result.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                            planned += 1;
+                            assert_eq!(plan.target(), expected, "{ctx}");
+                            assert_eq!(
+                                plan.backend_kind(),
+                                if expected == OffloadTarget::None {
+                                    BackendKind::PsSoftware
+                                } else {
+                                    BackendKind::Hybrid
+                                },
+                                "{ctx}"
+                            );
+                            let layers = expected.layers();
+                            assert_eq!(plan.stages().len(), layers.len(), "{ctx}");
+                            for (stage, &layer) in plan.stages().iter().zip(layers) {
+                                let bytes = format.bytes().expect("valid format");
+                                let layer_plan = spec.plan(layer);
+                                let execs = if layer_plan.is_ode {
+                                    layer_plan.execs
+                                } else {
+                                    1
+                                };
+                                assert_eq!(stage.layer, layer, "{ctx}");
+                                assert_eq!(stage.format, format, "{ctx}");
+                                assert_eq!(stage.execs, execs, "{ctx}");
+                                assert_eq!(
+                                    stage.bram36,
+                                    bram36_at_width(layer, parallelism, bytes),
+                                    "{ctx}"
+                                );
+                                assert_eq!(
+                                    stage.dsp,
+                                    dsp_slices_at_width(parallelism, bytes),
+                                    "{ctx}"
+                                );
+                                assert_eq!(
+                                    (stage.lut, stage.ff),
+                                    modelled_lut_ff_at(layer, parallelism, bytes),
+                                    "{ctx}"
+                                );
+                                assert_eq!(
+                                    stage.pl_seconds,
+                                    pl.stage_seconds_at(layer, execs, &board, bytes),
+                                    "{ctx}"
+                                );
+                                assert_eq!(stage.dma_words, dma_words_at(layer, bytes), "{ctx}");
+                                assert_eq!(
+                                    stage.param_bytes,
+                                    stage_param_bytes(&spec, layer, bytes),
+                                    "{ctx}"
+                                );
+                            }
+                            let row =
+                                table5_row_with(variant, n, &expected, &ps, &pl, &board, &formats);
+                            assert_eq!(plan.table5().total_w_pl, row.total_w_pl, "{ctx}");
+                            assert_eq!(plan.total_seconds(), row.total_w_pl, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        planned + infeasible + not_applicable,
+        7 * 2 * 3 * 2 * 3 * 10,
+        "matrix is total"
+    );
+    assert!(planned > 0 && infeasible > 0 && not_applicable > 0);
+}
