@@ -59,6 +59,13 @@
 //!                 recovery window (detect + drain + re-broadcast),
 //!                 availability, and the goodput retained after the
 //!                 survivors replan
+//!   scaling       Extension: simulator scaling — host seconds of the
+//!                 pipelined scheduler (plain and traced with a disabled
+//!                 recorder) and the deadline serve on the serve rack as
+//!                 the stream doubles from 256 images, with its virtual
+//!                 makespan, dispatches and p99; plus placement-search
+//!                 cost vs rack size (1-8 boards, FirstFit vs
+//!                 BalancedMakespan)
 //!   all           Everything except the slow fig6 full sweep
 //!
 //! Flags
@@ -67,7 +74,8 @@
 //!   --full           fig6: the full (slow) sweep over N = 20..56
 //!   --seed=<s>       RNG seed (default 42)
 //!   --images=<k>     serve/trace: stream length (default 256);
-//!                 hotpath: end-to-end batch size (default 32)
+//!                 hotpath: end-to-end batch size (default 32);
+//!                 scaling: largest stream length (default 1024)
 //!   --out=<path>     Artifact file: `trace` writes its JSON there
 //!                 (default results/trace.json); every other command
 //!                 appends its markdown tables there instead of being
@@ -199,6 +207,7 @@ fn command_registry() -> Vec<Command> {
         ("trace", trace_cmd),
         ("hotpath", hotpath_cmd),
         ("faults", faults_cmd),
+        ("scaling", scaling_cmd),
         ("all", all_cmd),
     ]
 }
@@ -226,6 +235,7 @@ fn all_cmd(flags: &Flags) {
     trace_cmd(flags);
     hotpath_cmd(flags);
     faults_cmd(flags);
+    scaling_cmd(flags);
     println!("\n(run `repro fig6`, `repro quantization`, `repro solver`, `repro calibrate` separately — they train networks)");
 }
 
@@ -1465,20 +1475,17 @@ fn calibrate_cmd(flags: &Flags) {
     );
 }
 
-fn serve_cmd(flags: &Flags) {
+/// The serving rack of `serve` and `scaling`: the cluster command's
+/// 2-board ODENet-20 at Q20 — the placement a single XC7Z020 cannot
+/// host. Serving it replays seeded virtual-time arrivals over the
+/// plan's stage pipeline: zero numerics, bit-stable across machines.
+fn serve_rack() -> zynq_sim::ClusterPlan {
     use zynq_sim::engine::Offload;
     use zynq_sim::plan::PlFormat;
-    use zynq_sim::serve::{
-        serve_timeline, sweep_timeline, ArrivalProcess, Dispatch, LoadSweep, ServeRequest, Window,
-    };
     use zynq_sim::{
         plan_cluster, Cluster, ClusterRequest, Interconnect, Replication, Schedule, ARTY_Z7_20,
     };
 
-    // The serving rack: the cluster command's 2-board ODENet-20 at Q20
-    // — the placement a single XC7Z020 cannot host. Everything below
-    // replays seeded virtual-time arrivals over the plan's stage
-    // pipeline: zero numerics, bit-stable across machines.
     let request = ClusterRequest {
         cluster: Cluster::homogeneous(&ARTY_Z7_20, 2, Interconnect::GIGABIT_ETHERNET),
         offload: Offload::Auto,
@@ -1491,7 +1498,15 @@ fn serve_cmd(flags: &Flags) {
         replication: Replication::None,
     };
     let spec = NetSpec::new(Variant::OdeNet, 20);
-    let plan = plan_cluster(&spec, &request).expect("two XC7Z020s carry ODENet-20 at Q20");
+    plan_cluster(&spec, &request).expect("two XC7Z020s carry ODENet-20 at Q20")
+}
+
+fn serve_cmd(flags: &Flags) {
+    use zynq_sim::serve::{
+        serve_timeline, sweep_timeline, ArrivalProcess, Dispatch, LoadSweep, ServeRequest, Window,
+    };
+
+    let plan = serve_rack();
     let ceiling = 1.0 / plan.bottleneck_seconds();
     let images = flags.images.unwrap_or(256);
     println!(
@@ -1706,23 +1721,21 @@ fn trace_cmd(flags: &Flags) {
     }
 }
 
+/// Best-of-`reps` wall-clock seconds for `f`: the minimum damps
+/// scheduler noise, which on a shared host only ever adds time.
+fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t0 = std::time::Instant::now();
+        std::hint::black_box(f());
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best
+}
+
 fn hotpath_cmd(flags: &Flags) {
-    use std::hint::black_box;
-    use std::time::Instant;
     use tensor::conv::set_force_reference;
     use zynq_sim::engine::{Engine, Offload};
-
-    /// Best-of-`reps` wall-clock seconds for `f` — min damps scheduler
-    /// noise without needing criterion's statistics for a smoke table.
-    fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            black_box(f());
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best
-    }
 
     /// Time `f` on the scalar reference kernels, then on the im2col/GEMM
     /// fast path. Numerics are bit-identical either way — the toggle only
@@ -1917,6 +1930,112 @@ fn faults_cmd(flags: &Flags) {
     );
 }
 
+fn scaling_cmd(flags: &Flags) {
+    use zynq_sim::cluster::{pipelined_schedule, pipelined_schedule_released_traced};
+    use zynq_sim::engine::Offload;
+    use zynq_sim::plan::PlFormat;
+    use zynq_sim::serve::{serve_timeline, ArrivalProcess, Dispatch, ServeRequest, Window};
+    use zynq_sim::trace::Recorder;
+    use zynq_sim::{
+        partition_placement, plan_cluster, Cluster, ClusterRequest, Interconnect, Partitioner,
+        Replication, Schedule, ARTY_Z7_20,
+    };
+
+    // How the simulator's host cost grows with stream length on the
+    // serve rack: the closed-batch scheduler, the same schedule through
+    // the traced entry point with a disabled recorder (it should cost
+    // nothing extra), and a deadline-dispatched Poisson serve, whose
+    // batcher replays the schedule once per dispatch.
+    let plan = serve_rack();
+    let timeline = plan.timeline();
+    let cap = flags.images.unwrap_or(1024);
+    let mut t = Table::new(
+        "Extension: simulator scaling — ODENet-20 on 2 Arty Z7-20 (Q20), Poisson at 0.5x ceiling, deadline 50ms",
+        &[
+            "images",
+            "pipelined_schedule [ms]",
+            "traced, recorder off [ms]",
+            "serve_timeline [s]",
+            "makespan [virt s]",
+            "dispatches",
+            "p99 [virt s]",
+        ],
+    );
+    let mut n = cap.clamp(1, 256);
+    while n <= cap {
+        let zeros = vec![0.0; n];
+        let schedule = best_of(3, || pipelined_schedule(timeline, n));
+        let traced = best_of(3, || {
+            pipelined_schedule_released_traced(timeline, &zeros, &mut Recorder::disabled())
+        });
+        let req = ServeRequest {
+            arrivals: ArrivalProcess::Poisson {
+                rate: 0.5 / plan.bottleneck_seconds(),
+            },
+            images: n,
+            dispatch: Dispatch::default(),
+            seed: flags.seed,
+            window: Window::default(),
+        };
+        let mut report = None;
+        let serve = best_of(1, || report = Some(serve_timeline(timeline, &req)));
+        let report = report.expect("timed once").expect("valid request");
+        t.row(vec![
+            n.to_string(),
+            format!("{:.3}", schedule * 1e3),
+            format!("{:.3}", traced * 1e3),
+            format!("{serve:.3}"),
+            format!("{:.3}", pipelined_schedule(timeline, n).makespan),
+            report.batches.to_string(),
+            format!("{:.4}", report.latency_p99),
+        ]);
+        n *= 2;
+    }
+    t.emit("scaling");
+
+    // What the placement search costs as the rack grows: FirstFit walks
+    // the layers once, BalancedMakespan prices every candidate
+    // assignment with a 32-image pipelined schedule.
+    let spec = NetSpec::new(Variant::OdeNet, 56);
+    let request = |boards: usize, partitioner: Partitioner| ClusterRequest {
+        cluster: Cluster::homogeneous(&ARTY_Z7_20, boards, Interconnect::GIGABIT_ETHERNET),
+        offload: Offload::Target(OffloadTarget::AllOde),
+        bn: BnMode::OnTheFly,
+        ps: PsModel::Calibrated,
+        pl: PlModel::default(),
+        precision: PlFormat::Q16 { frac: 10 }.into(),
+        schedule: Schedule::Pipelined,
+        partitioner,
+        replication: Replication::None,
+    };
+    let mut t2 = Table::new(
+        "Extension: placement search cost vs rack size — ODENet-56 AllOde on Arty Z7-20 (Q16.10, GigE)",
+        &["partitioner", "boards", "search [us]", "bottleneck [virt s]"],
+    );
+    for partitioner in [Partitioner::FirstFit, Partitioner::BalancedMakespan] {
+        for boards in [1, 2, 4, 8] {
+            let req = request(boards, partitioner);
+            let search = best_of(10, || {
+                partition_placement(&spec, OffloadTarget::AllOde, &req)
+                    .expect("AllOde fits one XC7Z020 at Q16")
+            });
+            let plan = plan_cluster(&spec, &req).expect("AllOde fits one XC7Z020 at Q16");
+            t2.row(vec![
+                format!("{partitioner:?}"),
+                boards.to_string(),
+                format!("{:.1}", search * 1e6),
+                format!("{:.4}", plan.bottleneck_seconds()),
+            ]);
+        }
+    }
+    t2.emit("scaling_placement");
+    println!(
+        "(host columns are best-of wall-clock and vary by machine; the virtual columns \
+         are deterministic. The recorder-off column tracks pipelined_schedule: a disabled \
+         Recorder costs one branch per event)"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1956,6 +2075,7 @@ mod tests {
             "trace",
             "hotpath",
             "faults",
+            "scaling",
             "all",
         ];
         assert_eq!(

@@ -745,7 +745,14 @@ pub fn pipelined_schedule_released_traced(
     let images = releases.len();
     let utilization = crate::partition::resource_busy(timeline)
         .into_iter()
-        .map(|(resource, busy)| (resource, busy * images as f64 / run.makespan))
+        .map(|(resource, busy)| {
+            let util = if run.makespan > 0.0 {
+                busy * images as f64 / run.makespan
+            } else {
+                0.0
+            };
+            (resource, util)
+        })
         .collect();
     rec.run_summary(utilization, images, run.makespan);
     run
@@ -1125,6 +1132,21 @@ mod tests {
             partitioner: Partitioner::FirstFit,
             replication: Replication::None,
         }
+    }
+
+    #[test]
+    fn empty_traced_schedule_reports_zero_utilization() {
+        let spec = NetSpec::new(Variant::OdeNet, 20);
+        let plan = plan_cluster(&spec, &request(2)).expect("plans");
+        let mut rec = Recorder::enabled();
+        let run = pipelined_schedule_released_traced(plan.timeline(), &[], &mut rec);
+        assert_eq!(run.makespan, 0.0);
+        let utilization = rec.finish().utilization();
+        assert!(!utilization.is_empty());
+        assert!(
+            utilization.iter().all(|&(_, u)| u == 0.0),
+            "{utilization:?}"
+        );
     }
 
     #[test]

@@ -363,6 +363,13 @@ impl MicroBatcher {
     /// deadline and fixed batching never consult the pipeline).
     /// Every image that has arrived by the dispatch instant rides
     /// along — a batch is "whatever is waiting", never a fixed shape.
+    ///
+    /// The typed-error gate is [`Dispatch::validate`] and
+    /// [`ArrivalProcess::validate`], which the serve entry points run
+    /// first. This walk assumes their output; on anything else (a NaN
+    /// arrival, `FixedBatch { size: 0 }`, an unsorted stream) it still
+    /// terminates — every dispatch releases at least its oldest waiting
+    /// image — but the releases carry no meaning.
     pub fn release_plan(&self, timeline: &[StageTiming], arrivals: &[f64]) -> ReleasePlan {
         let n = arrivals.len();
         let mut releases = Vec::with_capacity(n);
@@ -379,9 +386,14 @@ impl MicroBatcher {
             let oldest = arrivals[idx];
             let t = match self.dispatch {
                 Dispatch::Deadline { deadline } => oldest.max(head_idle.min(oldest + deadline)),
-                Dispatch::FixedBatch { size } => arrivals[(idx + size - 1).min(n - 1)],
+                Dispatch::FixedBatch { size } => {
+                    arrivals[idx.saturating_add(size.max(1) - 1).min(n - 1)]
+                }
             };
-            let mut count = 0usize;
+            // The oldest waiting image always rides, so every pass makes
+            // progress even on input `validate` would reject.
+            queue.push(oldest);
+            let mut count = 1usize;
             while idx + count < n && arrivals[idx + count] <= t {
                 queue.push(arrivals[idx + count]);
                 count += 1;
@@ -763,6 +775,34 @@ mod tests {
                 replicas: Vec::new(),
             },
         ]
+    }
+
+    /// `release_plan` takes raw slices, so input the `validate` gates
+    /// reject must still terminate without a panic: a NaN arrival used
+    /// to release nothing per pass forever, and a zero or huge fixed
+    /// batch overflowed the batch-end index.
+    #[test]
+    fn release_plan_terminates_on_unvalidated_input() {
+        let timeline = toy();
+        let nan = [0.0, f64::NAN, 0.02, 0.03];
+        for dispatch in [
+            Dispatch::default(),
+            Dispatch::Deadline { deadline: 0.0 },
+            Dispatch::FixedBatch { size: 2 },
+        ] {
+            let plan = MicroBatcher::new(dispatch).release_plan(&timeline, &nan);
+            assert_eq!(plan.releases.len(), nan.len(), "{dispatch:?}");
+            assert!(plan.batches <= nan.len(), "{dispatch:?}");
+        }
+        let arrivals = [0.0, 0.01, 0.02];
+        let one_by_one =
+            MicroBatcher::new(Dispatch::FixedBatch { size: 0 }).release_plan(&timeline, &arrivals);
+        assert_eq!(one_by_one.releases, arrivals);
+        assert_eq!(one_by_one.batches, 3);
+        let whole = MicroBatcher::new(Dispatch::FixedBatch { size: usize::MAX })
+            .release_plan(&timeline, &arrivals);
+        assert_eq!(whole.releases, [0.02; 3]);
+        assert_eq!(whole.batches, 1);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! A **disabled** recorder is a single inlined boolean check per event
 //! — the schedulers' floating-point arithmetic is untouched either
 //! way, so schedules and logits are bit-identical with tracing on or
-//! off (pinned in `tests/trace.rs`; overhead pinned in
-//! `benches/trace.rs`).
+//! off (pinned in `tests/trace.rs`; the recorder-off column of
+//! `repro -- scaling` shows the overhead).
 //!
 //! # Stall attribution
 //!
@@ -607,8 +607,8 @@ impl StallBreakdown {
 
 /// The event sink the schedulers thread through. A disabled recorder
 /// (the default for every untraced entry point) reduces every hook to
-/// one inlined branch — the zero-cost path pinned by
-/// `benches/trace.rs`.
+/// one inlined branch — the zero-cost path the recorder-off column of
+/// `repro -- scaling` measures.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     enabled: bool,

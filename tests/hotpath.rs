@@ -5,9 +5,9 @@
 //!   `PsSoftware` backend must run ≥2× faster wall-clock on the fast
 //!   path than on the retained scalar reference path, with bit-identical
 //!   logits. The 2× threshold is deliberately conservative: the measured
-//!   margin on a single x86 core is ~13× (see `repro -- hotpath` /
-//!   `benches/hotpath.rs`), so the pin survives slow CI machines while
-//!   still catching a regression that silently reroutes the hot path.
+//!   margin on a single x86 core is ~13× (see `repro -- hotpath`), so
+//!   the pin survives slow CI machines while still catching a
+//!   regression that silently reroutes the hot path.
 //! * `thread_count_invariance_…` — logits and modelled `RunReport`
 //!   timings are identical under `par::set_threads(1)` and
 //!   `set_threads(8)`, for both a PsSoftware and a Hybrid batch. Batch
