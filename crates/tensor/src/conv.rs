@@ -29,11 +29,12 @@
 //! Both paths are **bit-identical**, for every [`Scalar`], by one of two
 //! arguments:
 //!
-//! * **f32 and the 16-bit formats** run the default hook, a blocked
-//!   micro-GEMM that keeps the K-dimension accumulation in the
-//!   reference's `(i, ky, kx)` order and blocks only over output
-//!   channels / output pixels (independent accumulator chains). Padded
-//!   taps contribute `w·0`: exact `0` on the wide fixed-point
+//! * **f32 and the 16-bit formats** run the default hook, a
+//!   register-tiled GEMM: each tile of 4 output channels × 16 output
+//!   pixels keeps its 64 accumulators in registers over the whole K loop.
+//!   Every output is still its own `acc + w·x` chain in the reference's
+//!   `(i, ky, kx)` order; tiling only interleaves independent chains.
+//!   Padded taps contribute `w·0`: exact `0` on the wide fixed-point
 //!   accumulator, and `acc + (±0.0)` in `f32` — a bitwise no-op because
 //!   the accumulator can never hold `-0.0` (it starts at `+0.0`, and
 //!   IEEE-754 addition only produces `-0.0` from two negative zeros).
@@ -101,7 +102,7 @@ pub fn conv2d_out_shape(x: Shape4, w: Shape4, p: Conv2dParams) -> Shape4 {
 }
 
 /// When set, [`conv2d`] always takes the scalar reference path — used by
-/// the hot-path benches and `repro -- hotpath` to measure the fast kernel
+/// `repro -- hotpath` and `tests/hotpath.rs` to measure the fast kernel
 /// against its baseline without duplicating the call sites. Numerics are
 /// identical either way; only wall-clock differs.
 static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
@@ -180,13 +181,15 @@ pub fn conv2d_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams
     out
 }
 
-/// Output-channel block height of the micro-GEMM (register-tiled rows).
+/// Register-tile height of [`gemm_blocked`]: output channels whose
+/// accumulators share each load of a `cols` row.
 const GEMM_MB: usize = 4;
-/// Output-pixel block width of the micro-GEMM; 128 f32 lanes fit easily
-/// in L1 alongside the weight broadcasts.
-const GEMM_NB: usize = 128;
+/// Register-tile width of [`gemm_blocked`]: output pixels per tile, each
+/// weight broadcast across them. With `GEMM_MB` this keeps 64
+/// accumulators live over the whole K loop.
+const GEMM_NB: usize = 16;
 
-/// im2col + blocked micro-GEMM fast path for 3×3 / pad 1 / stride 1 or 2.
+/// im2col + GEMM fast path for 3×3 / pad 1 / stride 1 or 2.
 ///
 /// Per batch item the input is packed into a `K × (OH·OW)` column matrix
 /// (`K = C·9`, rows ordered `(i, ky, kx)` — the reference kernel's tap
@@ -207,6 +210,10 @@ pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParam
     let mut out = Tensor::<S>::zeros(os);
     let kdim = xs.c * 9; // GEMM K: taps per output, (i, ky, kx) order.
     let nc = os.h * os.w; // GEMM N: output pixels of one plane.
+    if kdim == 0 {
+        // No input channels: every reference sum is empty.
+        return out;
+    }
     let wsl = w.as_slice();
 
     // The packed column matrix is reused across batch items; batch-level
@@ -239,46 +246,72 @@ pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParam
     out
 }
 
-/// The blocked micro-GEMM behind [`Scalar::im2col_gemm`]'s default:
+/// The register-tiled GEMM behind [`Scalar::im2col_gemm`]'s default:
 /// `out = W · cols` for one batch item, with `W` the `(O × kdim)` weight
 /// matrix, `cols` the packed `(kdim × NC)` column matrix and `out` the
 /// item's `(O × NC)` output planes.
+///
+/// Each `GEMM_MB × GEMM_NB` tile of outputs is computed by
+/// [`gemm_tile`], one `mac` chain per output in K order. A ragged last
+/// row block reads zero-padded weight panels and a ragged last pixel tile
+/// reads a zero-padded copy of its columns; the padded lanes' results
+/// are never written back.
 pub(crate) fn gemm_blocked<S: Scalar>(wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) {
     let nc = cols.len() / kdim;
-    // The item is an (O × NC) row-major matrix; hand each worker a
-    // block of GEMM_MB output-channel rows.
+    // K-major weight panels, one per block of GEMM_MB output channels:
+    // `panels[blk·kdim + r][m]` is `W[blk·GEMM_MB + m][r]`.
+    let blocks = (oitem.len() / nc).div_ceil(GEMM_MB);
+    let mut panels = vec![[S::ZERO; GEMM_MB]; blocks * kdim];
+    for (m, wrow) in wsl.chunks_exact(kdim).enumerate() {
+        let panel = &mut panels[m / GEMM_MB * kdim..][..kdim];
+        for (p, &v) in panel.iter_mut().zip(wrow) {
+            p[m % GEMM_MB] = v;
+        }
+    }
+    let full = nc - nc % GEMM_NB;
+    let mut tail = vec![S::ZERO; if full < nc { kdim * GEMM_NB } else { 0 }];
+    for (t, crow) in tail.chunks_exact_mut(GEMM_NB).zip(cols.chunks_exact(nc)) {
+        t[..nc - full].copy_from_slice(&crow[full..]);
+    }
     par::par_chunks_mut(oitem, GEMM_MB * nc, kdim, |blk, chunk| {
-        let m0 = blk * GEMM_MB;
-        let rows = chunk.len() / nc;
-        let mut acc = [S::acc_zero(); GEMM_MB * GEMM_NB];
-        let mut j0 = 0;
-        while j0 < nc {
+        let panel = &panels[blk * kdim..(blk + 1) * kdim];
+        for j0 in (0..nc).step_by(GEMM_NB) {
+            let acc = if j0 < full {
+                gemm_tile(panel, &cols[j0..], nc)
+            } else {
+                gemm_tile(panel, &tail, GEMM_NB)
+            };
             let nb = GEMM_NB.min(nc - j0);
-            for a in acc[..rows * GEMM_NB].iter_mut() {
-                *a = S::acc_zero();
-            }
-            // K stays sequential: each (m, j) accumulator sees taps
-            // in the reference (i, ky, kx) order.
-            for r in 0..kdim {
-                let crow = &cols[r * nc + j0..r * nc + j0 + nb];
-                for m in 0..rows {
-                    let wv = wsl[(m0 + m) * kdim + r];
-                    let arow = &mut acc[m * GEMM_NB..m * GEMM_NB + nb];
-                    for (a, &c) in arow.iter_mut().zip(crow) {
-                        *a = S::mac(*a, wv, c);
-                    }
-                }
-            }
-            for m in 0..rows {
-                let orow = &mut chunk[m * nc + j0..m * nc + j0 + nb];
-                let arow = &acc[m * GEMM_NB..m * GEMM_NB + nb];
-                for (o, &a) in orow.iter_mut().zip(arow) {
+            for (arow, orow) in acc.iter().zip(chunk.chunks_exact_mut(nc)) {
+                for (o, &a) in orow[j0..j0 + nb].iter_mut().zip(arow) {
                     *o = S::acc_finish(a);
                 }
             }
-            j0 += nb;
         }
     });
+}
+
+/// One register tile: `acc[m][j] = Σ_r panel[r][m]·x[r·stride + j]`,
+/// each output's `mac` chain running over `r` in order. The `GEMM_MB`
+/// weights of a tap share one `GEMM_NB`-wide load of its `x` row.
+#[inline]
+fn gemm_tile<S: Scalar>(
+    panel: &[[S; GEMM_MB]],
+    x: &[S],
+    stride: usize,
+) -> [[S::Acc; GEMM_NB]; GEMM_MB] {
+    let mut acc = [[S::acc_zero(); GEMM_NB]; GEMM_MB];
+    for (wk, xrow) in panel.iter().zip(x.chunks(stride)) {
+        let xk = xrow
+            .first_chunk::<GEMM_NB>()
+            .expect("every tile lies inside its column rows");
+        for (arow, &wv) in acc.iter_mut().zip(wk) {
+            for (a, &xv) in arow.iter_mut().zip(xk) {
+                *a = S::mac(*a, wv, xv);
+            }
+        }
+    }
+    acc
 }
 
 /// Register-tile height (output channels) of [`gemm_offset_binary`].
@@ -782,6 +815,21 @@ mod tests {
                 conv2d_reference(&x16, &w16, p).as_slice()
             );
         }
+    }
+
+    #[test]
+    fn zero_input_channels_give_the_zero_output() {
+        // f32 runs the default GEMM, Q20 the offset-binary one.
+        fn check<S: Scalar>() {
+            let p = Conv2dParams::same_3x3();
+            let x = Tensor::<S>::zeros(Shape4::new(2, 0, 5, 4));
+            let w = Tensor::<S>::zeros(Shape4::new(3, 0, 3, 3));
+            let reference = conv2d_reference(&x, &w, p);
+            assert_eq!(reference.shape(), Shape4::new(2, 3, 5, 4));
+            assert_eq!(conv2d(&x, &w, p).as_slice(), reference.as_slice());
+        }
+        check::<f32>();
+        check::<Q20>();
     }
 
     #[test]

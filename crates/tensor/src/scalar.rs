@@ -66,7 +66,7 @@ pub trait Scalar:
     /// planes, split over output-channel blocks with [`crate::par`].
     ///
     /// Every output must equal `acc_finish` of the reference's `mac`
-    /// chain bit for bit. The default, a blocked micro-GEMM, keeps each
+    /// chain bit for bit. The default, a register-tiled GEMM, keeps each
     /// chain's K order, which `f32` needs: its sums are order-dependent.
     /// `Fix<F>` overrides it with an offset-binary kernel: its wide
     /// accumulator is the exact sum mod 2^64, which no reordering

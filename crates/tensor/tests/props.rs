@@ -2,7 +2,7 @@
 //! must hold regardless of shapes, plus fixed/float agreement bounds.
 
 use proptest::prelude::*;
-use qfixed::{Q16, Q20};
+use qfixed::{Fix16, Q16, Q20};
 use tensor::conv::{
     conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_im2col_3x3, conv2d_reference,
     Conv2dParams,
@@ -23,14 +23,16 @@ fn small_tensor(max_c: usize, max_hw: usize) -> impl Strategy<Value = Tensor<f32
 /// Random 3×3 convolution instances over the fast path's whole domain:
 /// both strides, 1–2 batch items, and spatial extents from the degenerate
 /// 1×1 (all 9 taps padded for stride 1) through border-dominated 4×4 up
-/// to 8×8.
+/// to 8×8, with and without a ragged tile of output pixels. Input
+/// channels start at 0 (every sum empty); output channels reach 9, two
+/// whole register tiles of 4 rows plus a remainder.
 fn conv3x3_instance() -> impl Strategy<Value = (Tensor<f32>, Tensor<f32>, Conv2dParams)> {
     (
         1usize..=2,
-        1usize..=4,
+        0usize..=4,
         1usize..=8,
         1usize..=8,
-        1usize..=4,
+        1usize..=9,
         1usize..=2,
     )
         .prop_flat_map(|(n, c, h, w, o, stride)| {
@@ -204,6 +206,15 @@ proptest! {
     fn fast_conv_matches_reference_q16((x, w, p) in conv3x3_instance()) {
         let xq: Tensor<Q16> = Tensor::from_f32_tensor(&x);
         let wq: Tensor<Q16> = Tensor::from_f32_tensor(&w);
+        let fast = conv2d_im2col_3x3(&xq, &wq, p);
+        let reference = conv2d_reference(&xq, &wq, p);
+        prop_assert_eq!(fast.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn fast_conv_matches_reference_fix16((x, w, p) in conv3x3_instance()) {
+        let xq: Tensor<Fix16<10>> = Tensor::from_f32_tensor(&x);
+        let wq: Tensor<Fix16<10>> = Tensor::from_f32_tensor(&w);
         let fast = conv2d_im2col_3x3(&xq, &wq, p);
         let reference = conv2d_reference(&xq, &wq, p);
         prop_assert_eq!(fast.as_slice(), reference.as_slice());

@@ -1,13 +1,14 @@
 //! Kernel oracle at the root: the im2col fast conv must equal the scalar
 //! `conv2d_reference` bit for bit on every rODENet conv geometry, for the
-//! PS's f32, the PL's Q20 and the reduced-range Q16.
+//! PS's f32, the PL's Q20, the reduced-range Q16 and the 16-bit
+//! `Fix16<10>`.
 //!
 //! `tests/props.rs::accel_always_bit_exact` runs the fast `conv2d` on both
 //! sides of its comparison, so it cannot catch a fast kernel that drifts;
 //! this sweep can. It is a fixed, cheap sweep (well under a second), not
 //! a proptest: the randomized oracles live in `crates/tensor/tests`.
 
-use qfixed::{Q16, Q20};
+use qfixed::{Fix16, Q16, Q20};
 use tensor::conv::{conv2d_im2col_3x3, conv2d_reference, Conv2dParams};
 use tensor::{Scalar, Shape4, Tensor};
 
@@ -42,7 +43,7 @@ fn assert_fast_is_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dPa
     );
 }
 
-/// The f32 case and its Q20 and Q16 quantizations.
+/// The f32 case and its Q20, Q16 and 16-bit `Fix16<10>` quantizations.
 fn check_all_types(x: &Tensor<f32>, w: &Tensor<f32>, p: Conv2dParams, name: &str) {
     assert_fast_is_reference(x, w, p, &format!("{name} f32"));
     let (xq, wq) = (
@@ -55,6 +56,11 @@ fn check_all_types(x: &Tensor<f32>, w: &Tensor<f32>, p: Conv2dParams, name: &str
         Tensor::<Q16>::from_f32_tensor(w),
     );
     assert_fast_is_reference(&xq, &wq, p, &format!("{name} Q16"));
+    let (xq, wq) = (
+        Tensor::<Fix16<10>>::from_f32_tensor(x),
+        Tensor::<Fix16<10>>::from_f32_tensor(w),
+    );
+    assert_fast_is_reference(&xq, &wq, p, &format!("{name} Fix16<10>"));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //!   `PsSoftware` backend must run ≥2× faster wall-clock on the fast
 //!   path than on the retained scalar reference path, with bit-identical
 //!   logits. The 2× threshold is deliberately conservative: the measured
-//!   margin on a single x86 core is ~13× (see `repro -- hotpath`), so
+//!   margin on a single x86 core is ~16–19× (see `repro -- hotpath`), so
 //!   the pin survives slow CI machines while still catching a
 //!   regression that silently reroutes the hot path.
 //! * `thread_count_invariance_…` — logits and modelled `RunReport`
