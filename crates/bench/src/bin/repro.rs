@@ -93,6 +93,7 @@ use rodenet::train::{evaluate, train_epochs, TrainConfig};
 use rodenet::{BnMode, GradMode, LayerName, NetSpec, Network, Variant, PAPER_DEPTHS};
 use tensor::{Shape4, Tensor};
 use zynq_sim::planner::{plan_offload, plan_offload_extended, OffloadTarget};
+use zynq_sim::precision::StageFormats;
 use zynq_sim::resources::{layer_geom, ode_block_resources};
 use zynq_sim::timing::{paper_row, speedup_vs_resnet, table5_row, PlModel, PsModel};
 use zynq_sim::{conv_cycles, OdeBlockAccel, PowerModel, PYNQ_Z2};
@@ -831,6 +832,7 @@ fn solver_cmd(flags: &Flags) {
 fn planner_cmd() {
     let ps = PsModel::Calibrated;
     let pl = PlModel::default();
+    let q20 = StageFormats::default();
     let mut t = Table::new(
         "Extension: latency-optimal offload plans vs the paper's placement (N = 56)",
         &[
@@ -852,10 +854,10 @@ fn planner_cmd() {
     ] {
         let spec = NetSpec::new(v, 56);
         let paper = OffloadTarget::paper_default(v);
-        let planned = plan_offload(&spec, &PYNQ_Z2, 16, &ps, &pl);
-        let extended = plan_offload_extended(&spec, &PYNQ_Z2, 16, &ps, &pl);
-        let t_paper = table5_row(v, 56, &paper, &ps, &pl, &PYNQ_Z2).total_w_pl;
-        let t_ext = table5_row(v, 56, &extended, &ps, &pl, &PYNQ_Z2).total_w_pl;
+        let planned = plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &q20);
+        let extended = plan_offload_extended(&spec, &PYNQ_Z2, &ps, &pl, &q20);
+        let t_paper = table5_row(v, 56, &paper, &ps, &pl, &PYNQ_Z2, &q20).total_w_pl;
+        let t_ext = table5_row(v, 56, &extended, &ps, &pl, &PYNQ_Z2, &q20).total_w_pl;
         t.row(vec![
             v.name().into(),
             format!("{paper:?}"),

@@ -20,7 +20,7 @@
 //! contribute only their PL fabric. A feature map crosses the
 //! interconnect whenever consecutive stages live on different boards;
 //! PS ↔ PL traffic *within* the head board is the AXI DMA already
-//! charged by [`crate::datapath::stage_cycles_at`]. Sharding therefore
+//! charged by [`crate::datapath::stage_cycles`]. Sharding therefore
 //! changes *where* and *when* stages run — never the Q-format numerics
 //! — so a sharded deployment stays bit-identical to a single-board one
 //! with the same overall placement (pinned in `tests/cluster.rs`).
@@ -70,7 +70,7 @@ use crate::plan::PlannedStage;
 use crate::planner::OffloadTarget;
 use crate::precision::StageFormats;
 use crate::replica::{ReplicaPlan, Replication};
-use crate::resources::{bram36_at_width, dsp_slices_at_width, modelled_lut_ff_at};
+use crate::resources::{bram36_at_width, dsp_slices, lut_ff};
 use crate::timing::{PlModel, PsModel};
 use crate::trace::{Recorder, StageSpan};
 use rodenet::{BnMode, LayerName, NetSpec};
@@ -300,31 +300,16 @@ pub struct BoardShard {
 /// Split `target`'s layers across the cluster's boards, first-fit in
 /// network order (so feature maps flow forward through the board
 /// list). Every shard is checked with the width-aware
-/// [`OffloadTarget::fits_at`]; a layer that fits no remaining board
-/// makes the whole placement infeasible — the returned
+/// [`OffloadTarget::fits`], each layer priced at its own format in
+/// `formats`, so a mixed placement (layer1 at Q16 next to layer3_2 at
+/// Q20) shards exactly as it will deploy. A layer that fits no
+/// remaining board makes the whole placement infeasible — the returned
 /// [`EngineError::ShardInfeasible`] names that layer and the board
-/// capacities consulted. This is [`Partitioner::FirstFit`]; see
-/// [`crate::partition`] for the cost-driven alternative.
+/// capacities consulted; a degenerate format is a typed
+/// [`EngineError::UnsupportedFormat`], never a panic. This is
+/// [`Partitioner::FirstFit`]; see [`crate::partition`] for the
+/// cost-driven alternative.
 pub fn shard_placement(
-    target: OffloadTarget,
-    cluster: &Cluster,
-    parallelism: usize,
-    bytes_per_value: usize,
-) -> Result<ShardAssignment, EngineError> {
-    shard_placement_with(
-        target,
-        cluster,
-        parallelism,
-        &crate::planner::uniform_for_bytes(bytes_per_value),
-    )
-}
-
-/// [`shard_placement`] with **per-stage** word widths: every
-/// first-fit feasibility probe prices each layer at its own resolved
-/// format, so a mixed placement (layer1 at Q16 next to layer3_2 at
-/// Q20) shards exactly as it will deploy. A degenerate format is a
-/// typed [`EngineError::UnsupportedFormat`], never a panic.
-pub fn shard_placement_with(
     target: OffloadTarget,
     cluster: &Cluster,
     parallelism: usize,
@@ -341,7 +326,7 @@ pub fn shard_placement_with(
             let mut candidate = current.clone();
             candidate.push(layer);
             let t = OffloadTarget::from_layers(&candidate).ok_or_else(|| infeasible(layer))?;
-            if t.fits_with(&cluster.boards()[board], parallelism, formats) {
+            if t.fits(&cluster.boards()[board], parallelism, formats) {
                 current = candidate;
                 break;
             }
@@ -421,10 +406,17 @@ pub struct ClusterPlan {
 /// per-image pipeline for `spec` on a cluster — the numerics-free half
 /// of every built-in engine build ([`crate::plan::plan_deployment`]
 /// calls it with a one-board cluster). Hardware no timing model can
-/// price is an [`EngineError::InvalidHardware`].
+/// price — a zero clock, an unpriceable interconnect, or a PL circuit
+/// with no multiply–add unit — is an [`EngineError::InvalidHardware`].
 pub fn plan_cluster(spec: &NetSpec, req: &ClusterRequest) -> Result<ClusterPlan, EngineError> {
     req.precision.validate()?;
     req.cluster.validate()?;
+    if req.pl.parallelism == 0 {
+        return Err(EngineError::InvalidHardware {
+            board: None,
+            reason: "PL parallelism is 0: a conv_x0 circuit has no multiply-add unit".to_string(),
+        });
+    }
 
     // 1. Resolve the overall placement at cluster capacity, splitting
     //    it under the request's partitioner and replication policy —
@@ -451,22 +443,22 @@ pub fn plan_cluster(spec: &NetSpec, req: &ClusterRequest) -> Result<ClusterPlan,
                     let plan = spec.plan(layer);
                     let execs = if plan.is_ode { plan.execs } else { 1 };
                     let bytes = req.precision.bytes_of(layer);
-                    let (lut, ff) = modelled_lut_ff_at(layer, req.pl.parallelism, bytes);
+                    let (lut, ff) = lut_ff(layer, req.pl.parallelism, bytes);
                     PlannedStage {
                         layer,
                         format: req.precision.format_of(layer),
                         execs,
                         bram36: bram36_at_width(layer, req.pl.parallelism, bytes),
-                        dsp: dsp_slices_at_width(req.pl.parallelism, bytes),
+                        dsp: dsp_slices(req.pl.parallelism, bytes),
                         lut,
                         ff,
-                        pl_seconds: req.pl.stage_seconds_at(
+                        pl_seconds: req.pl.stage_seconds(
                             layer,
                             execs,
                             &req.cluster.boards()[board],
                             bytes,
                         ),
-                        dma_words: crate::datapath::dma_words_at(layer, bytes),
+                        dma_words: crate::datapath::dma_words(layer, bytes),
                         param_bytes: crate::resources::stage_param_bytes(spec, layer, bytes),
                     }
                 })
@@ -572,7 +564,7 @@ pub(crate) fn build_timeline(
             timeline.push(StageTiming {
                 resource: StageResource::Pl(board),
                 layer: Some(layer),
-                seconds: req.pl.stage_seconds_at(
+                seconds: req.pl.stage_seconds(
                     layer,
                     execs,
                     &req.cluster.boards()[board],
@@ -1013,7 +1005,7 @@ impl ClusterPlan {
         self.timeline
             .iter()
             .filter_map(|s| s.layer)
-            .map(|layer| crate::datapath::dma_words_at(layer, self.formats.bytes_of(layer)))
+            .map(|layer| crate::datapath::dma_words(layer, self.formats.bytes_of(layer)))
             .sum()
     }
 
@@ -1167,7 +1159,8 @@ mod tests {
         // At Q20, layer1+layer2_2 (120 BRAM) fill board 0; layer3_2
         // (140 BRAM = the whole fabric) moves to board 1 — the ISSUE's
         // canonical example.
-        let shards = shard_placement(OffloadTarget::AllOde, &cluster, 16, 4).expect("shards");
+        let q20 = StageFormats::default();
+        let shards = shard_placement(OffloadTarget::AllOde, &cluster, 16, &q20).expect("shards");
         assert_eq!(
             shards,
             vec![(0, OffloadTarget::Layer1And22), (1, OffloadTarget::Layer32)]
@@ -1175,11 +1168,12 @@ mod tests {
         // One board cannot carry all three at 32-bit…
         let one = Cluster::homogeneous(&ARTY_Z7_20, 1, Interconnect::GIGABIT_ETHERNET);
         assert!(matches!(
-            shard_placement(OffloadTarget::AllOde, &one, 16, 4),
+            shard_placement(OffloadTarget::AllOde, &one, 16, &q20),
             Err(EngineError::ShardInfeasible { boards: 1, .. })
         ));
         // …but can at 16-bit (footnote 2), with no second board needed.
-        let shards16 = shard_placement(OffloadTarget::AllOde, &one, 16, 2).expect("16-bit");
+        let q16 = PlFormat::Q16 { frac: 8 }.into();
+        let shards16 = shard_placement(OffloadTarget::AllOde, &one, 16, &q16).expect("16-bit");
         assert_eq!(shards16, vec![(0, OffloadTarget::AllOde)]);
     }
 

@@ -77,32 +77,23 @@ pub fn block_exec_cycles(layer: LayerName, n: usize) -> u64 {
     2 * conv_cycles(geom, n) + 2 * bn_cycles(geom)
 }
 
-/// AXI DMA words to enter + leave an offloaded stage (1 cycle per 32-bit
-/// word — the paper's stated optimistic assumption). The feature map
-/// stays resident in BRAM between repeated executions.
-pub fn dma_words(layer: LayerName) -> u64 {
-    dma_words_at(layer, 4)
-}
-
-/// AXI DMA 32-bit bus words at an arbitrary element width: a 16-bit
-/// feature map packs two values per bus word, halving the transfer
-/// (the footnote-2 reduced-width datapath).
-pub fn dma_words_at(layer: LayerName, bytes_per_value: usize) -> u64 {
+/// AXI DMA 32-bit bus words to enter + leave an offloaded stage at a
+/// value width of `bytes_per_value` (1 cycle per bus word — the paper's
+/// stated optimistic assumption). A 16-bit feature map packs two
+/// values per bus word, halving the transfer (the footnote-2
+/// reduced-width datapath). The feature map stays resident in BRAM
+/// between repeated executions.
+pub fn dma_words(layer: LayerName, bytes_per_value: usize) -> u64 {
     let geom = layer_geom(layer);
     (2 * geom.c * geom.hw * geom.hw * bytes_per_value).div_ceil(4) as u64
 }
 
 /// Cycles for a whole offloaded stage: `execs` block runs + one DMA
-/// round trip.
-pub fn stage_cycles(layer: LayerName, n: usize, execs: usize) -> u64 {
-    stage_cycles_at(layer, n, execs, 4)
-}
-
-/// [`stage_cycles`] at an arbitrary element width (the compute cycles
-/// are width-independent — the MAC loop issues one multiply–add per
-/// element either way — but the DMA round trip shrinks with the word).
-pub fn stage_cycles_at(layer: LayerName, n: usize, execs: usize, bytes_per_value: usize) -> u64 {
-    execs as u64 * block_exec_cycles(layer, n) + dma_words_at(layer, bytes_per_value)
+/// round trip at `bytes_per_value`. The compute cycles are
+/// width-independent — the MAC loop issues one multiply–add per
+/// element either way — but the DMA round trip shrinks with the word.
+pub fn stage_cycles(layer: LayerName, n: usize, execs: usize, bytes_per_value: usize) -> u64 {
+    execs as u64 * block_exec_cycles(layer, n) + dma_words(layer, bytes_per_value)
 }
 
 /// Outcome of a simulated accelerator invocation.
@@ -123,7 +114,7 @@ pub struct AccelRun<S: Scalar = Q20> {
 /// The scalar type `S` is the circuit's word format — [`Q20`] is the
 /// paper's build; 16-bit formats ([`qfixed::Fix16`]) model the
 /// footnote-2 reduced-width datapath (same cycle counts, half the DMA
-/// words — see [`stage_cycles_at`]).
+/// words — see [`stage_cycles`]).
 #[derive(Clone, Debug)]
 pub struct OdeBlockAccel<S: Scalar = Q20> {
     /// The quantized block resident in BRAM.
@@ -171,7 +162,7 @@ impl<S: Scalar> OdeBlockAccel<S> {
             assert_eq!(execs, 1, "plain blocks execute once");
             self.block.residual_forward(z)
         };
-        let cycles = stage_cycles_at(self.block.layer, self.parallelism, execs, S::BYTES);
+        let cycles = stage_cycles(self.block.layer, self.parallelism, execs, S::BYTES);
         AccelRun {
             output,
             cycles,
@@ -245,8 +236,8 @@ mod tests {
 
     #[test]
     fn dma_words_match_feature_maps() {
-        assert_eq!(dma_words(LayerName::Layer3_2), 2 * 64 * 64);
-        assert_eq!(dma_words(LayerName::Layer1), 2 * 16 * 1024);
+        assert_eq!(dma_words(LayerName::Layer3_2, 4), 2 * 64 * 64);
+        assert_eq!(dma_words(LayerName::Layer1, 4), 2 * 16 * 1024);
     }
 
     #[test]
@@ -272,22 +263,18 @@ mod tests {
     fn stage_timing_rodenet3_56() {
         // 24 executions of layer3_2 at conv_x16, 100 MHz → ≈ 0.40 s
         // (Table 5 "Target w/ PL").
-        let cycles = stage_cycles(LayerName::Layer3_2, 16, 24);
+        let cycles = stage_cycles(LayerName::Layer3_2, 16, 24, 4);
         let secs = PYNQ_Z2.pl_seconds(cycles);
         assert!((secs - 0.40).abs() < 0.005, "{secs}");
     }
 
     #[test]
     fn reduced_width_halves_dma() {
-        assert_eq!(dma_words_at(LayerName::Layer3_2, 2), 64 * 64);
-        assert_eq!(
-            dma_words_at(LayerName::Layer3_2, 4),
-            dma_words(LayerName::Layer3_2)
-        );
+        assert_eq!(dma_words(LayerName::Layer3_2, 2), 64 * 64);
         // Compute cycles are width-independent; only the DMA share shrinks.
-        let full = stage_cycles_at(LayerName::Layer3_2, 16, 6, 4);
-        let half = stage_cycles_at(LayerName::Layer3_2, 16, 6, 2);
-        assert_eq!(full - half, dma_words(LayerName::Layer3_2) / 2);
+        let full = stage_cycles(LayerName::Layer3_2, 16, 6, 4);
+        let half = stage_cycles(LayerName::Layer3_2, 16, 6, 2);
+        assert_eq!(full - half, dma_words(LayerName::Layer3_2, 4) / 2);
     }
 
     #[test]
@@ -306,7 +293,7 @@ mod tests {
         assert_eq!(run.output.as_slice(), reference.as_slice());
         assert_eq!(
             run.cycles,
-            stage_cycles_at(LayerName::Layer1, 16, 2, 2),
+            stage_cycles(LayerName::Layer1, 16, 2, 2),
             "16-bit stage pays half the DMA words"
         );
     }

@@ -98,11 +98,11 @@ use tensor::{par, Scalar, Shape4, Tensor};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Offload {
     /// Latency-optimal placement under the paper's ODE-blocks-only
-    /// policy ([`crate::planner::plan_offload_at`]).
+    /// policy ([`crate::planner::plan_offload`]).
     #[default]
     Auto,
     /// Latency-optimal placement, also considering once-executed plain
-    /// blocks ([`crate::planner::plan_offload_extended_at`]).
+    /// blocks ([`crate::planner::plan_offload_extended`]).
     AutoExtended,
     /// A fixed placement, validated at build time.
     Target(OffloadTarget),
@@ -252,14 +252,15 @@ pub enum EngineError {
         /// What is malformed, in the caller's terms.
         reason: &'static str,
     },
-    /// A board or interconnect figure no timing model can price: a
-    /// zero PS or PL clock, or a link whose bandwidth is not finite and
-    /// positive or whose latency is not finite and non-negative.
-    /// Checked by [`crate::cluster::plan_cluster`], which every
-    /// built-in build runs.
+    /// A hardware figure no timing model can price: a zero PS or PL
+    /// clock, a link whose bandwidth is not finite and positive or
+    /// whose latency is not finite and non-negative, or a
+    /// [`PlModel`] with zero multiply–add units. Checked by
+    /// [`crate::cluster::plan_cluster`], which every built-in build
+    /// runs.
     InvalidHardware {
         /// Index of the offending board in the cluster (`None` for the
-        /// interconnect; a single board is board 0).
+        /// interconnect or the PL model; a single board is board 0).
         board: Option<usize>,
         /// What is wrong, naming the offending figures.
         reason: String,
@@ -582,10 +583,11 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// Monomorphized circuits over every executable word width, behind one
-/// enum so *different stages of one engine can run in different
-/// formats* (the per-stage precision policy). The variants must stay
-/// in lockstep with [`PlFormat::EXECUTABLE_WIDTHS`] — pinned by
+/// Monomorphized datapaths over every executable word width: circuits
+/// behind one enum so *different stages of one engine can run in
+/// different formats* (the per-stage precision policy), and the
+/// uniform dispatch of the fully-fixed-point backend. The list must
+/// stay in lockstep with [`PlFormat::EXECUTABLE_WIDTHS`] — pinned by
 /// `every_listed_executable_width_builds`.
 macro_rules! any_accel {
     ($(($variant:ident, $ty:ty, $total:literal, $frac:literal)),+ $(,)?) => {
@@ -624,6 +626,20 @@ macro_rules! any_accel {
                         (run.output.to_f32(), run.seconds)
                     })+
                 }
+            }
+        }
+
+        /// The fully-fixed-point backend for `plan` in the uniform
+        /// format `q` — the whole network in one number system — or
+        /// `None` when no monomorphized datapath exists for that width.
+        fn bit_exact_backend<'n>(
+            net: &'n Network,
+            plan: &DeploymentPlan,
+            q: qfixed::QFormat,
+        ) -> Option<Box<dyn Backend + 'n>> {
+            match (q.total_bits, q.frac_bits) {
+                $(($total, $frac) => Some(build_bit_exact_backend::<$ty>(net, plan)),)+
+                _ => None,
             }
         }
     };
@@ -736,7 +752,7 @@ fn hybrid_walk(
         for block in &stage.blocks {
             if let Some(pl_stage) = on_pl {
                 let (out, seconds) = pl_stage.accel.run_stage(&z, pl_stage.execs);
-                dma_words += crate::datapath::dma_words_at(stage.name, pl_stage.bytes);
+                dma_words += crate::datapath::dma_words(stage.name, pl_stage.bytes);
                 pl_seconds += seconds;
                 z = out;
             } else {
@@ -808,7 +824,7 @@ impl Backend for ClusterBackend<'_> {
 /// ([`OdeBlockAccel`] wraps the same [`rodenet::QuantBlock`] forward),
 /// so offloaded stages execute straight out of `qnet` — one
 /// quantization at build, no duplicate weight copies — with their
-/// cycle timing taken from [`PlModel::stage_seconds_at`], which is the
+/// cycle timing taken from [`PlModel::stage_seconds`], which is the
 /// identical `stage_cycles / closed-clock` arithmetic the accelerator
 /// reports.
 struct PlBitExactBackend<S: Scalar> {
@@ -851,13 +867,10 @@ impl<S: Scalar> Backend for PlBitExactBackend<S> {
                     block.residual_forward(&z)
                 };
                 if on_pl {
-                    dma_words += crate::datapath::dma_words_at(stage.name, S::BYTES);
-                    pl_seconds += self.pl.stage_seconds_at(
-                        stage.name,
-                        stage.plan.execs,
-                        &self.board,
-                        S::BYTES,
-                    );
+                    dma_words += crate::datapath::dma_words(stage.name, S::BYTES);
+                    pl_seconds +=
+                        self.pl
+                            .stage_seconds(stage.name, stage.plan.execs, &self.board, S::BYTES);
                 } else {
                     ps_cycles += stage.plan.execs as u64
                         * self.ps.block_exec_cycles(stage.name, stage.plan.is_ode);
@@ -1160,40 +1173,6 @@ impl<'n> EngineBuilder<'n> {
             return Ok(self.into_engine(formats, None, custom));
         }
 
-        // Monomorphize `$build::<S>($($arg),*)` over every executable
-        // word width — the *uniform* dispatch, used by the backend that
-        // runs the whole network in one number system. The arms must
-        // stay in lockstep with `PlFormat::EXECUTABLE_WIDTHS` (the
-        // forward direction is pinned by
-        // `every_listed_executable_width_builds`); the per-stage walk
-        // dispatches through `AnyAccel` instead.
-        macro_rules! dispatch_width {
-            ($format:expr, $build:ident($($arg:expr),*)) => {{
-                let q = $format.qformat().expect("validated by plan()");
-                match (q.total_bits, q.frac_bits) {
-                    (32, 12) => $build::<Fix<12>>($($arg),*),
-                    (32, 16) => $build::<Fix<16>>($($arg),*),
-                    (32, 20) => $build::<Fix<20>>($($arg),*),
-                    (32, 24) => $build::<Fix<24>>($($arg),*),
-                    (16, 6) => $build::<Fix16<6>>($($arg),*),
-                    (16, 8) => $build::<Fix16<8>>($($arg),*),
-                    (16, 10) => $build::<Fix16<10>>($($arg),*),
-                    (16, 12) => $build::<Fix16<12>>($($arg),*),
-                    (total_bits, frac_bits) => {
-                        debug_assert!(
-                            !$format.has_datapath(),
-                            "({total_bits},{frac_bits}) is in EXECUTABLE_WIDTHS but not dispatched"
-                        );
-                        return Err(EngineError::UnsupportedFormat {
-                            total_bits,
-                            frac_bits,
-                            stage: None,
-                        });
-                    }
-                }
-            }};
-        }
-
         let deployment = if self.cluster.is_some() {
             let cplan = self.plan_cluster_with(formats)?;
             // A rack runs the PS+PL walk with per-board circuits; a
@@ -1223,7 +1202,12 @@ impl<'n> EngineBuilder<'n> {
                         backend: "pl-bit-exact",
                     });
                 };
-                dispatch_width!(uniform, build_bit_exact_backend(self.net, plan))
+                let q = uniform.qformat().expect("validated by plan()");
+                bit_exact_backend(self.net, plan, q).ok_or(EngineError::UnsupportedFormat {
+                    total_bits: q.total_bits,
+                    frac_bits: q.frac_bits,
+                    stage: None,
+                })?
             }
             walk => build_walk_backend(self.net, walk, &formats)?,
         };
@@ -1907,10 +1891,11 @@ mod tests {
 
     #[test]
     fn every_listed_executable_width_builds() {
-        // `PlFormat::EXECUTABLE_WIDTHS` is the single source of truth;
-        // BOTH monomorphization sites — the per-stage `any_accel!`
-        // enum (hybrid path) and the uniform `dispatch_width!` match
-        // (fully-fixed-point path) — must cover every entry.
+        // `PlFormat::EXECUTABLE_WIDTHS` and the `any_accel!` list must
+        // agree: every listed width builds through both dispatches
+        // the macro generates — the per-stage `AnyAccel` enum (hybrid
+        // path) and the uniform `bit_exact_backend` match
+        // (fully-fixed-point path).
         let net = net(Variant::ROdeNet3);
         for &(total, frac) in PlFormat::EXECUTABLE_WIDTHS {
             let format = PlFormat::Custom(qfixed::QFormat::new(total, frac));
@@ -2158,6 +2143,22 @@ mod tests {
                 "{link:?}: {err}"
             );
             let _ = err.to_string();
+        }
+        // A circuit with no multiply-add unit used to panic in the
+        // cycle model, under the Auto search and a fixed target alike.
+        for offload in [Offload::Auto, Offload::Target(OffloadTarget::Layer32)] {
+            let no_units = Engine::builder(&net)
+                .board(&PYNQ_Z2)
+                .pl_model(PlModel { parallelism: 0 })
+                .offload(offload);
+            assert!(
+                matches!(
+                    no_units.plan(),
+                    Err(EngineError::InvalidHardware { board: None, .. })
+                ),
+                "{offload:?}"
+            );
+            assert!(is_invalid(no_units.build()), "{offload:?}");
         }
         // The paper's hardware is untouched by the check.
         assert!(Engine::builder(&net).build().is_ok());

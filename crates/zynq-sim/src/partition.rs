@@ -18,7 +18,7 @@
 //!   the greedy network-order behavior (the compatibility default);
 //!   `BalancedMakespan` enumerates **every** assignment of offloaded
 //!   layers to boards over the same width-aware
-//!   [`OffloadTarget::fits_at`] feasibility and
+//!   [`OffloadTarget::fits`] feasibility and
 //!   [`crate::cluster::StageTiming`] pipeline model, and keeps the one
 //!   minimizing the configured schedule's makespan of a
 //!   [`REFERENCE_BATCH`]-image batch (per-image latency breaks ties) —
@@ -32,7 +32,7 @@
 //!   Auto-selection loop: iterate all applicable placements, partition
 //!   each under the configured strategy, keep the best under the same
 //!   objective the partitioner used.
-//!   [`crate::planner::plan_offload_at`] calls it with a 1-board
+//!   [`crate::planner::plan_offload`] calls it with a 1-board
 //!   cluster; [`crate::cluster::plan_cluster`] with the real one — a
 //!   single board is literally the degenerate case of the same search.
 //!
@@ -53,7 +53,7 @@
 
 use crate::board::Board;
 use crate::cluster::{
-    build_timeline, per_image_seconds, pipelined_schedule, shard_placement_with, Cluster,
+    build_timeline, per_image_seconds, pipelined_schedule, shard_placement, Cluster,
     ClusterRequest, Interconnect, Schedule, ShardAssignment, StageResource, StageTiming,
 };
 use crate::engine::{EngineError, Offload};
@@ -81,7 +81,7 @@ pub enum Partitioner {
     FirstFit,
     /// Exhaustive search over all layer→board assignments (boards ^
     /// layers candidates, at most 3 offloadable layers), each checked
-    /// with the width-aware [`OffloadTarget::fits_at`], scored by the
+    /// with the width-aware [`OffloadTarget::fits`], scored by the
     /// makespan of a [`REFERENCE_BATCH`]-image batch under the
     /// request's configured [`Schedule`] — the event-driven pipeline
     /// simulation for [`Schedule::Pipelined`], `B ×` per-image latency
@@ -150,7 +150,7 @@ pub(crate) fn partition_with(
 ) -> Result<ShardAssignment, EngineError> {
     match req.partitioner {
         Partitioner::FirstFit => {
-            shard_placement_with(target, &req.cluster, req.pl.parallelism, &req.precision)
+            shard_placement(target, &req.cluster, req.pl.parallelism, &req.precision)
         }
         Partitioner::BalancedMakespan => balanced_assignment(spec, target, req),
     }
@@ -273,7 +273,7 @@ fn balanced_assignment(
             }
             let t =
                 OffloadTarget::from_layers(group).expect("subsets of a placement are placements");
-            if !t.fits_with(&boards[b], req.pl.parallelism, &req.precision) {
+            if !t.fits(&boards[b], req.pl.parallelism, &req.precision) {
                 feasible = false;
                 break;
             }
@@ -290,7 +290,7 @@ fn balanced_assignment(
                 .iter()
                 .map(|(b, t)| {
                     req.pl
-                        .placement_seconds_with(spec, t, &boards[*b], &req.precision)
+                        .placement_seconds(spec, t, &boards[*b], &req.precision)
                 })
                 .fold(0.0f64, f64::max);
         if best.as_ref().is_some_and(|(m, _, _)| bound > *m) {
@@ -314,7 +314,7 @@ fn balanced_assignment(
             let alone = OffloadTarget::from_layers(&[layer]).expect("offloadable");
             !boards
                 .iter()
-                .any(|b| alone.fits_with(b, req.pl.parallelism, &req.precision))
+                .any(|b| alone.fits(b, req.pl.parallelism, &req.precision))
         });
         shard_infeasible(
             target,
@@ -372,11 +372,10 @@ pub(crate) fn replicated_assignment(
     let plan = spec.plan(layer);
     let execs = if plan.is_ode { plan.execs } else { 1 };
     let bytes = req.precision.bytes_of(layer);
-    let stage_seconds =
-        |b: usize| -> f64 { req.pl.stage_seconds_at(layer, execs, &boards[b], bytes) };
+    let stage_seconds = |b: usize| -> f64 { req.pl.stage_seconds(layer, execs, &boards[b], bytes) };
 
     if req.partitioner == Partitioner::FirstFit {
-        let base = shard_placement_with(target, &req.cluster, req.pl.parallelism, &req.precision)?;
+        let base = shard_placement(target, &req.cluster, req.pl.parallelism, &req.precision)?;
         let mut groups: Vec<Vec<LayerName>> = vec![Vec::new(); n];
         for (b, t) in &base {
             groups[*b].extend_from_slice(t.layers());
@@ -397,7 +396,7 @@ pub(crate) fn replicated_assignment(
             candidate.push(layer);
             let t = OffloadTarget::from_layers(&candidate)
                 .expect("subsets of a placement are placements");
-            if t.fits_with(&boards[b], req.pl.parallelism, &req.precision) {
+            if t.fits(&boards[b], req.pl.parallelism, &req.precision) {
                 groups[b] = candidate;
                 carriers += 1;
             }
@@ -450,7 +449,7 @@ pub(crate) fn replicated_assignment(
                 }
                 let t = OffloadTarget::from_layers(group)
                     .expect("subsets of a placement are placements");
-                if !t.fits_with(&boards[b], req.pl.parallelism, &req.precision) {
+                if !t.fits(&boards[b], req.pl.parallelism, &req.precision) {
                     feasible = false;
                     break;
                 }
@@ -471,7 +470,7 @@ pub(crate) fn replicated_assignment(
                             .map(|&l| {
                                 let p = spec.plan(l);
                                 let e = if p.is_ode { p.execs } else { 1 };
-                                let s = req.pl.stage_seconds_at(
+                                let s = req.pl.stage_seconds(
                                     l,
                                     e,
                                     &boards[b],
@@ -527,7 +526,7 @@ fn assignment_from_groups(groups: &[Vec<LayerName>]) -> ShardAssignment {
 
 /// First-fit feasibility of `target` over `boards` — the probe behind
 /// the [`EngineError::ShardInfeasible`] hint. A plain boolean re-run of
-/// [`shard_placement_with`]'s loop that constructs no error (so probing
+/// [`shard_placement`]'s loop that constructs no error (so probing
 /// an extended cluster cannot recurse back into the diagnosis).
 fn first_fit_feasible(
     target: OffloadTarget,
@@ -544,7 +543,7 @@ fn first_fit_feasible(
             let Some(t) = OffloadTarget::from_layers(&candidate) else {
                 return false;
             };
-            if t.fits_with(&boards[board], parallelism, formats) {
+            if t.fits(&boards[board], parallelism, formats) {
                 current = candidate;
                 break;
             }
@@ -645,7 +644,7 @@ mod tests {
             );
             for t in OffloadTarget::ALL {
                 let via_strategy = partition_placement(&spec, t, &req);
-                let direct = crate::cluster::shard_placement(t, &req.cluster, 16, 4);
+                let direct = crate::cluster::shard_placement(t, &req.cluster, 16, &req.precision);
                 assert_eq!(via_strategy.is_ok(), direct.is_ok(), "{t:?} over {boards}");
                 if let (Ok(a), Ok(b)) = (via_strategy, direct) {
                     assert_eq!(a, b, "{t:?} over {boards}");

@@ -17,7 +17,7 @@
 //! [`crate::precision::StageFormats`] table): the paper's footnote 2
 //! observes that reduced bit widths "can implement more layers in PL
 //! part", and each stage's width flows through the BRAM/DSP
-//! feasibility check ([`OffloadTarget::fits_with`]) and the DMA share
+//! feasibility check ([`OffloadTarget::fits`]) and the DMA share
 //! of the timing model, so a 16-bit plan can legally choose the
 //! layer3_2-sharing placements a 32-bit plan must reject — and a mixed
 //! plan can pair a Q20 layer1 with a Q16 layer3_2 on one fabric.
@@ -38,7 +38,7 @@ use crate::partition::Partitioner;
 use crate::planner::OffloadTarget;
 use crate::precision::StageFormats;
 use crate::replica::Replication;
-use crate::timing::{table5_row_with, PlModel, PsModel, Table5Row};
+use crate::timing::{table5_row, PlModel, PsModel, Table5Row};
 use qfixed::QFormat;
 use rodenet::{BnMode, LayerName, NetSpec};
 
@@ -179,7 +179,7 @@ pub struct PlannedStage {
     pub dsp: u32,
     /// Look-up tables at the plan's word width (control base fixed,
     /// datapath share scaled — see
-    /// [`crate::resources::modelled_lut_ff_at`]).
+    /// [`crate::resources::lut_ff`]).
     pub lut: u32,
     /// Flip-flops at the plan's word width.
     pub ff: u32,
@@ -263,7 +263,7 @@ pub fn plan_deployment(spec: &NetSpec, req: &PlanRequest) -> Result<DeploymentPl
                 variant: spec.variant,
             });
         }
-        if !t.fits_with(&req.board, req.pl.parallelism, &req.precision) {
+        if !t.fits(&req.board, req.pl.parallelism, &req.precision) {
             return Err(EngineError::InfeasiblePlacement {
                 target: t,
                 parallelism: req.pl.parallelism,
@@ -316,7 +316,7 @@ pub fn plan_deployment(spec: &NetSpec, req: &PlanRequest) -> Result<DeploymentPl
 
     // 4. The cached Table 5 row, from the paper's additive model (its
     //    sums are not the pipeline's, so it is computed, not derived).
-    let timing = table5_row_with(
+    let timing = table5_row(
         spec.variant,
         spec.n,
         &target,

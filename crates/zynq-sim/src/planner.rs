@@ -8,9 +8,13 @@
 //! can pick the latency-optimal one for a given architecture.
 //!
 //! Since the partitioner refactor, the Auto selection here is the
-//! 1-board degenerate case of the cluster search: [`plan_offload_at`]
+//! 1-board degenerate case of the cluster search: [`plan_offload`]
 //! and [`crate::cluster::plan_cluster`]'s `Auto` loop share one cost
 //! path in [`crate::partition`].
+//!
+//! Every function here takes the PL word widths as one
+//! [`StageFormats`] table; `&StageFormats::default()` is the paper's
+//! uniform 32-bit Q20 build.
 
 use crate::board::Board;
 use crate::precision::StageFormats;
@@ -25,7 +29,7 @@ use rodenet::{LayerName, NetSpec, Variant};
 /// but feasible at reduced word widths, which is exactly the paper's
 /// footnote-2 motivation ("using reduced bit widths … can implement
 /// more layers in PL part"). They participate in planning whenever the
-/// width-aware feasibility check ([`OffloadTarget::fits_at`]) admits
+/// width-aware feasibility check ([`OffloadTarget::fits`]) admits
 /// them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OffloadTarget {
@@ -86,7 +90,16 @@ impl OffloadTarget {
         }
     }
 
-    /// Whether the placement fits `board` at the given parallelism.
+    /// Whether the placement fits `board` at the given parallelism,
+    /// every layer priced at its **own** word format from `formats` —
+    /// so a mixed deployment (layer1 at Q16 next to layer3_2 at Q20) is
+    /// admitted exactly when the sum of its differently-sized circuits
+    /// fits the fabric. BRAM scales via
+    /// [`crate::resources::bram36_at_width`], DSP via
+    /// [`crate::resources::dsp_slices`], and LUT/FF via
+    /// [`crate::resources::lut_ff`] (control base fixed, datapath share
+    /// scaled by the operand width) — so a reduced-width shard is not
+    /// gated by the conservative 32-bit characterization.
     ///
     /// A parallelism exceeding a target layer's output channel count
     /// cannot be instantiated (there is no ⌈O/n⌉-th channel group to
@@ -95,43 +108,13 @@ impl OffloadTarget {
     /// consult. Note the guard lives here, at the placement level: the
     /// low-level per-circuit model ([`crate::resources::ode_block_resources`]) keeps
     /// `parallelism ≤ channels` as an asserted precondition.
-    pub fn fits(&self, board: &Board, parallelism: usize) -> bool {
-        self.fits_at(board, parallelism, 4)
-    }
-
-    /// Width-aware feasibility: like [`OffloadTarget::fits`] but with
-    /// the PL word width as a parameter (`bytes_per_value`; 4 is the
-    /// paper's 32-bit build, 2 the footnote-2 16-bit datapath). BRAM
-    /// scales via [`crate::resources::bram36_at_width`], DSP via
-    /// [`crate::resources::dsp_slices_at_width`], and LUT/FF via
-    /// [`crate::resources::modelled_lut_ff_at`] (control base fixed,
-    /// datapath share scaled by the operand width) — so a reduced-width
-    /// shard is not gated by the conservative 32-bit characterization.
-    pub fn fits_at(&self, board: &Board, parallelism: usize, bytes_per_value: usize) -> bool {
-        let pairs: Vec<(LayerName, usize)> = self
-            .layers()
-            .iter()
-            .map(|&l| (l, bytes_per_value))
-            .collect();
-        self.fits_pairs(board, parallelism, &pairs)
-    }
-
-    /// Per-stage-width feasibility: like [`OffloadTarget::fits_at`]
-    /// but every layer is priced at its **own** word format from the
-    /// resolved precision table — so a mixed deployment (layer1 at
-    /// Q16 next to layer3_2 at Q20) is admitted exactly when the sum
-    /// of its differently-sized circuits fits the fabric.
     ///
     /// # Panics
     ///
     /// On a degenerate format in `formats` — callers that accept
     /// untrusted tables should [`StageFormats::validate`] first, as
     /// every planning entry point does.
-    pub fn fits_with(&self, board: &Board, parallelism: usize, formats: &StageFormats) -> bool {
-        self.fits_pairs(board, parallelism, &formats.bytes_for(self.layers()))
-    }
-
-    fn fits_pairs(&self, board: &Board, parallelism: usize, pairs: &[(LayerName, usize)]) -> bool {
+    pub fn fits(&self, board: &Board, parallelism: usize, formats: &StageFormats) -> bool {
         for &layer in self.layers() {
             let (channels, _) = layer.geometry();
             if parallelism > channels {
@@ -139,7 +122,7 @@ impl OffloadTarget {
             }
         }
         let (bram36, dsp, lut, ff) =
-            crate::resources::placement_resources_mixed(pairs, parallelism);
+            crate::resources::placement_resources(&formats.bytes_for(self.layers()), parallelism);
         bram36 <= board.bram36 as f64 && dsp <= board.dsp && lut <= board.lut && ff <= board.ff
     }
 
@@ -198,42 +181,43 @@ impl OffloadTarget {
     }
 }
 
-/// All placements that fit the board at `parallelism` (32-bit build).
-pub fn feasible_targets(board: &Board, parallelism: usize) -> Vec<OffloadTarget> {
-    feasible_targets_at(board, parallelism, 4)
-}
-
-/// All placements that fit the board at `parallelism` and the given PL
-/// word width.
-pub fn feasible_targets_at(
+/// All placements that fit the board at `parallelism` and the word
+/// widths in `formats`.
+pub fn feasible_targets(
     board: &Board,
     parallelism: usize,
-    bytes_per_value: usize,
+    formats: &StageFormats,
 ) -> Vec<OffloadTarget> {
     OffloadTarget::ALL
         .into_iter()
-        .filter(|t| t.fits_at(board, parallelism, bytes_per_value))
+        .filter(|t| t.fits(board, parallelism, formats))
         .collect()
 }
 
 /// Pick the placement minimizing modelled end-to-end latency for `spec`
-/// under the paper's ODE-blocks-only policy (32-bit datapath).
+/// under the paper's ODE-blocks-only policy, at `pl.parallelism`.
+/// Feasibility and the DMA share of the cost model price every
+/// candidate stage at its **own** format in `formats`, so a 16-bit
+/// plan can legally pick the layer3_2-sharing placements that a 32-bit
+/// plan must reject, and the latency-optimal placement can mix widths.
+///
+/// A single board is planned as the 1-board degenerate case of the
+/// cluster cost model, so this and [`crate::cluster::plan_cluster`]'s
+/// `Auto` loop run the same code path — one cost function decides
+/// placements everywhere.
+///
+/// # Panics
+///
+/// On a degenerate format in `formats` — [`StageFormats::validate`]
+/// first (the `plan_deployment`/`plan_cluster` entry points do).
 pub fn plan_offload(
     spec: &NetSpec,
     board: &Board,
-    parallelism: usize,
     ps: &PsModel,
     pl: &PlModel,
+    formats: &StageFormats,
 ) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        false,
-        &uniform_for_bytes(4),
-    )
+    crate::partition::select_single_board(spec, board, ps, pl, false, formats)
 }
 
 /// Like [`plan_offload`] but also considers once-executed plain blocks
@@ -242,143 +226,33 @@ pub fn plan_offload(
 pub fn plan_offload_extended(
     spec: &NetSpec,
     board: &Board,
-    parallelism: usize,
-    ps: &PsModel,
-    pl: &PlModel,
-) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        true,
-        &uniform_for_bytes(4),
-    )
-}
-
-/// Width-aware [`plan_offload`]: feasibility and DMA timing both see
-/// the PL word width, so a 16-bit plan can legally pick the
-/// layer3_2-sharing placements that a 32-bit plan must reject.
-pub fn plan_offload_at(
-    spec: &NetSpec,
-    board: &Board,
-    parallelism: usize,
-    ps: &PsModel,
-    pl: &PlModel,
-    bytes_per_value: usize,
-) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        false,
-        &uniform_for_bytes(bytes_per_value),
-    )
-}
-
-/// Width-aware [`plan_offload_extended`].
-pub fn plan_offload_extended_at(
-    spec: &NetSpec,
-    board: &Board,
-    parallelism: usize,
-    ps: &PsModel,
-    pl: &PlModel,
-    bytes_per_value: usize,
-) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        true,
-        &uniform_for_bytes(bytes_per_value),
-    )
-}
-
-/// Per-stage-width [`plan_offload`]: feasibility and the DMA share of
-/// the cost model price every candidate stage at its **own** resolved
-/// format, so the latency-optimal placement can mix widths (the
-/// precision-policy planning entry point).
-///
-/// # Panics
-///
-/// On a degenerate format in `formats` — [`StageFormats::validate`]
-/// first (the `plan_deployment`/`plan_cluster` entry points do).
-pub fn plan_offload_with(
-    spec: &NetSpec,
-    board: &Board,
-    parallelism: usize,
     ps: &PsModel,
     pl: &PlModel,
     formats: &StageFormats,
 ) -> OffloadTarget {
-    plan_with(spec, board, parallelism, ps, pl, false, formats)
-}
-
-/// Per-stage-width [`plan_offload_extended`].
-pub fn plan_offload_extended_with(
-    spec: &NetSpec,
-    board: &Board,
-    parallelism: usize,
-    ps: &PsModel,
-    pl: &PlModel,
-    formats: &StageFormats,
-) -> OffloadTarget {
-    plan_with(spec, board, parallelism, ps, pl, true, formats)
-}
-
-/// A synthetic uniform format table carrying the right storage width
-/// for the byte-level compatibility entry points (only `bytes` reaches
-/// the resource/DMA models, so the binary point is arbitrary).
-pub(crate) fn uniform_for_bytes(bytes_per_value: usize) -> StageFormats {
-    use crate::plan::PlFormat;
-    let format = match bytes_per_value {
-        4 => PlFormat::Q20,
-        2 => PlFormat::Q16 { frac: 8 },
-        b => PlFormat::Custom(qfixed::QFormat::new(8 * b as u32, 4 * b as u32)),
-    };
-    StageFormats::uniform(format)
-}
-
-/// The shared Auto-selection engine: a single board is planned as the
-/// 1-board degenerate case of the cluster cost model, so this and
-/// [`crate::cluster::plan_cluster`]'s `Auto` loop literally run the
-/// same code path ([`crate::partition::select_with`]) — one cost
-/// function decides placements everywhere. Every in-tree caller
-/// derives `parallelism` and `pl` from the same [`PlModel`]; should
-/// they ever disagree, `parallelism` wins for both feasibility and
-/// timing (coherent, unlike the pre-refactor split of feasibility at
-/// `parallelism` but timing at `pl.parallelism`).
-#[allow(clippy::too_many_arguments)]
-fn plan_with(
-    spec: &NetSpec,
-    board: &Board,
-    parallelism: usize,
-    ps: &PsModel,
-    pl: &PlModel,
-    extended: bool,
-    formats: &StageFormats,
-) -> OffloadTarget {
-    let model = if pl.parallelism == parallelism {
-        *pl
-    } else {
-        PlModel { parallelism }
-    };
-    crate::partition::select_single_board(spec, board, ps, &model, extended, formats)
+    crate::partition::select_single_board(spec, board, ps, pl, true, formats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::board::PYNQ_Z2;
+    use crate::plan::PlFormat;
+
+    /// The paper's uniform 32-bit build.
+    fn q20() -> StageFormats {
+        StageFormats::default()
+    }
+
+    /// A uniform 16-bit build (only the storage width reaches the
+    /// resource and DMA models).
+    fn q16() -> StageFormats {
+        PlFormat::Q16 { frac: 8 }.into()
+    }
 
     #[test]
     fn section32_four_cases_feasible() {
-        let feasible = feasible_targets(&PYNQ_Z2, 16);
+        let feasible = feasible_targets(&PYNQ_Z2, 16, &q20());
         for t in [
             OffloadTarget::Layer1,
             OffloadTarget::Layer22,
@@ -428,7 +302,7 @@ mod tests {
             Variant::Hybrid3,
         ] {
             let spec = NetSpec::new(v, 56);
-            let choice = plan_offload(&spec, &PYNQ_Z2, 16, &ps, &pl);
+            let choice = plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &q20());
             assert_eq!(choice, OffloadTarget::paper_default(v), "{v}");
         }
     }
@@ -442,7 +316,7 @@ mod tests {
         let ps = PsModel::Calibrated;
         let pl = PlModel::default();
         let spec = NetSpec::new(Variant::OdeNet, 56);
-        let choice = plan_offload(&spec, &PYNQ_Z2, 16, &ps, &pl);
+        let choice = plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &q20());
         assert_eq!(choice, OffloadTarget::Layer1And22);
         let t_paper = crate::timing::table5_row(
             spec.variant,
@@ -451,10 +325,12 @@ mod tests {
             &ps,
             &pl,
             &PYNQ_Z2,
+            &q20(),
         )
         .total_w_pl;
         let t_planned =
-            crate::timing::table5_row(spec.variant, spec.n, &choice, &ps, &pl, &PYNQ_Z2).total_w_pl;
+            crate::timing::table5_row(spec.variant, spec.n, &choice, &ps, &pl, &PYNQ_Z2, &q20())
+                .total_w_pl;
         assert!(t_planned < t_paper, "{t_planned} < {t_paper}");
     }
 
@@ -464,9 +340,9 @@ mod tests {
         let choice = plan_offload(
             &spec,
             &PYNQ_Z2,
-            16,
             &PsModel::Calibrated,
             &PlModel::default(),
+            &q20(),
         );
         assert_eq!(
             choice,
@@ -496,14 +372,16 @@ mod tests {
         let ps = PsModel::Calibrated;
         let pl = PlModel::default();
         let spec = NetSpec::new(Variant::ROdeNet2, 56);
-        let paper = plan_offload(&spec, &PYNQ_Z2, 16, &ps, &pl);
+        let paper = plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &q20());
         assert_eq!(paper, OffloadTarget::Layer22);
-        let extended = plan_offload_extended(&spec, &PYNQ_Z2, 16, &ps, &pl);
+        let extended = plan_offload_extended(&spec, &PYNQ_Z2, &ps, &pl, &q20());
         assert_eq!(extended, OffloadTarget::Layer1And22);
         let t_paper =
-            crate::timing::table5_row(spec.variant, spec.n, &paper, &ps, &pl, &PYNQ_Z2).total_w_pl;
-        let t_ext = crate::timing::table5_row(spec.variant, spec.n, &extended, &ps, &pl, &PYNQ_Z2)
-            .total_w_pl;
+            crate::timing::table5_row(spec.variant, spec.n, &paper, &ps, &pl, &PYNQ_Z2, &q20())
+                .total_w_pl;
+        let t_ext =
+            crate::timing::table5_row(spec.variant, spec.n, &extended, &ps, &pl, &PYNQ_Z2, &q20())
+                .total_w_pl;
         assert!(t_ext < t_paper, "{t_ext} < {t_paper}");
     }
 
@@ -517,12 +395,8 @@ mod tests {
             OffloadTarget::Layer22And32,
             OffloadTarget::AllOde,
         ] {
-            assert!(!t.fits(&PYNQ_Z2, 16), "{t:?} cannot fit at 32-bit");
-            assert!(t.fits_at(&PYNQ_Z2, 16, 2), "{t:?} fits at 16-bit");
-        }
-        // And the 32-bit check is unchanged by the width-aware rewrite.
-        for t in OffloadTarget::ALL {
-            assert_eq!(t.fits(&PYNQ_Z2, 16), t.fits_at(&PYNQ_Z2, 16, 4), "{t:?}");
+            assert!(!t.fits(&PYNQ_Z2, 16, &q20()), "{t:?} cannot fit at 32-bit");
+            assert!(t.fits(&PYNQ_Z2, 16, &q16()), "{t:?} fits at 16-bit");
         }
     }
 
@@ -534,8 +408,8 @@ mod tests {
         let ps = PsModel::Calibrated;
         let pl = PlModel::default();
         let spec = NetSpec::new(Variant::OdeNet, 56);
-        let choice32 = plan_offload_at(&spec, &PYNQ_Z2, 16, &ps, &pl, 4);
-        let choice16 = plan_offload_at(&spec, &PYNQ_Z2, 16, &ps, &pl, 2);
+        let choice32 = plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &q20());
+        let choice16 = plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &q16());
         assert_eq!(choice32, OffloadTarget::Layer1And22);
         assert_eq!(choice16, OffloadTarget::AllOde);
     }
@@ -564,7 +438,7 @@ mod tests {
         for v in Variant::ALL {
             for n in rodenet::PAPER_DEPTHS {
                 let spec = NetSpec::new(v, n);
-                for bytes in [2usize, 4] {
+                for formats in [q16(), q20()] {
                     for extended in [false, true] {
                         let mut best = OffloadTarget::None;
                         let mut best_time = f64::INFINITY;
@@ -574,11 +448,11 @@ mod tests {
                             } else {
                                 target.applicable(&spec)
                             };
-                            if !ok || !target.fits_at(&PYNQ_Z2, 16, bytes) {
+                            if !ok || !target.fits(&PYNQ_Z2, 16, &formats) {
                                 continue;
                             }
-                            let row = crate::timing::table5_row_at(
-                                v, n, &target, &ps, &pl, &PYNQ_Z2, bytes,
+                            let row = crate::timing::table5_row(
+                                v, n, &target, &ps, &pl, &PYNQ_Z2, &formats,
                             );
                             if row.total_w_pl < best_time {
                                 best_time = row.total_w_pl;
@@ -586,11 +460,11 @@ mod tests {
                             }
                         }
                         let unified = if extended {
-                            plan_offload_extended_at(&spec, &PYNQ_Z2, 16, &ps, &pl, bytes)
+                            plan_offload_extended(&spec, &PYNQ_Z2, &ps, &pl, &formats)
                         } else {
-                            plan_offload_at(&spec, &PYNQ_Z2, 16, &ps, &pl, bytes)
+                            plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &formats)
                         };
-                        assert_eq!(unified, best, "{v}-{n} at {bytes} bytes (ext {extended})");
+                        assert_eq!(unified, best, "{v}-{n} at {formats} (ext {extended})");
                     }
                 }
             }
@@ -601,7 +475,7 @@ mod tests {
     fn tiny_board_rejects_everything() {
         let mut small = PYNQ_Z2;
         small.bram36 = 10;
-        let feasible = feasible_targets(&small, 16);
+        let feasible = feasible_targets(&small, 16, &q20());
         assert_eq!(feasible, vec![OffloadTarget::None]);
     }
 }

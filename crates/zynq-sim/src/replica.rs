@@ -264,7 +264,7 @@ fn resolve_groups(spec: &NetSpec, req: &ClusterRequest, g: usize) -> Result<Reso
         }
         for (b, t) in &base {
             let clone = b + j * size;
-            if !t.fits_with(&boards[clone], req.pl.parallelism, &req.precision) {
+            if !t.fits(&boards[clone], req.pl.parallelism, &req.precision) {
                 return Err(infeasible(format!(
                     "group {j}'s board {clone} ({}) cannot carry {t:?}",
                     boards[clone].name
@@ -274,8 +274,8 @@ fn resolve_groups(spec: &NetSpec, req: &ClusterRequest, g: usize) -> Result<Reso
                 let plan = spec.plan(l);
                 let execs = if plan.is_ode { plan.execs } else { 1 };
                 let bytes = req.precision.bytes_of(l);
-                let primary = req.pl.stage_seconds_at(l, execs, &boards[*b], bytes);
-                let cloned = req.pl.stage_seconds_at(l, execs, &boards[clone], bytes);
+                let primary = req.pl.stage_seconds(l, execs, &boards[*b], bytes);
+                let cloned = req.pl.stage_seconds(l, execs, &boards[clone], bytes);
                 if primary != cloned {
                     return Err(infeasible(format!(
                         "group {j}'s board {clone} ({}) would serve {l} in {cloned:.6} s \

@@ -104,16 +104,19 @@ impl ResourceReport {
     }
 }
 
-/// BRAM18 half-blocks used by the feature-map buffers.
-pub fn feature_buffer_bram18(geom: LayerGeom) -> u32 {
-    let bytes = (geom.c + 1) * geom.hw * geom.hw * 4;
-    let bram36 = bytes.div_ceil(Board::BRAM36_BYTES) as u32;
-    3 * 2 * bram36
+/// BRAM18 half-blocks used by the feature-map buffers at a parameter
+/// width of `bytes_per_value` (4 = the paper's 32-bit build; the
+/// footnote-2 exploration: "using reduced bit widths (e.g., 16-bit or
+/// less) can implement more layers in PL").
+pub fn feature_buffer_bram18(geom: LayerGeom, bytes_per_value: usize) -> u32 {
+    let bytes = (geom.c + 1) * geom.hw * geom.hw * bytes_per_value;
+    3 * 2 * bytes.div_ceil(Board::BRAM36_BYTES) as u32
 }
 
-/// BRAM18 half-blocks used by the per-output-channel weight banks.
-pub fn weight_bank_bram18(geom: LayerGeom, parallelism: usize) -> u32 {
-    let bank_bytes = 2 * (geom.c + 1) * 9 * 4;
+/// BRAM18 half-blocks used by the per-output-channel weight banks at a
+/// parameter width of `bytes_per_value`.
+pub fn weight_bank_bram18(geom: LayerGeom, parallelism: usize, bytes_per_value: usize) -> u32 {
+    let bank_bytes = 2 * (geom.c + 1) * 9 * bytes_per_value;
     let banks = geom.c as u32;
     if bank_bytes <= Board::BRAM18_BYTES && parallelism <= geom.c / 2 {
         banks // one BRAM18 each
@@ -122,17 +125,12 @@ pub fn weight_bank_bram18(geom: LayerGeom, parallelism: usize) -> u32 {
     }
 }
 
-/// DSP48E1 slices: 4 per multiply–add unit + 4 for the BN unit.
-pub fn dsp_slices(parallelism: usize) -> u32 {
-    dsp_slices_at_width(parallelism, 4)
-}
-
-/// DSP48E1 slices at an arbitrary parameter width. A b×b multiplier
-/// tiles onto `⌈b/25⌉·⌈b/18⌉` of the slice's 25×18 signed multipliers:
-/// 4 for the paper's 32-bit build (exact on Table 3), 1 for 16-bit or
-/// less, 2 for a 17–24-bit operand, 12 for a 64-bit one. The BN mean/σ
-/// unit keeps its four slices at every width.
-pub fn dsp_slices_at_width(parallelism: usize, bytes_per_value: usize) -> u32 {
+/// DSP48E1 slices at a parameter width of `bytes_per_value`. A b×b
+/// multiplier tiles onto `⌈b/25⌉·⌈b/18⌉` of the slice's 25×18 signed
+/// multipliers: 4 for the paper's 32-bit build (exact on Table 3), 1
+/// for 16-bit or less, 2 for a 17–24-bit operand, 12 for a 64-bit one.
+/// The BN mean/σ unit keeps its four slices at every width.
+pub fn dsp_slices(parallelism: usize, bytes_per_value: usize) -> u32 {
     let bits = (bytes_per_value * 8) as u32;
     let per_mac = bits.div_ceil(25) * bits.div_ceil(18);
     per_mac * parallelism as u32 + 4
@@ -207,26 +205,18 @@ pub fn modelled_lut_ff(layer: LayerName, parallelism: usize) -> (u32, u32) {
     )
 }
 
-/// LUT/FF of one circuit: the synthesis characterization when the
-/// configuration is in Table 3, the linear model otherwise.
-pub fn lut_ff(layer: LayerName, parallelism: usize) -> (u32, u32) {
-    characterized_lut_ff(layer, parallelism).unwrap_or_else(|| modelled_lut_ff(layer, parallelism))
-}
-
-/// Width-aware LUT/FF model: the 32-bit figure (characterized where
-/// Table 3 has the cell, modelled otherwise) split into a
-/// width-independent control base and a datapath share that scales
-/// linearly with the operand width. A Q16 multiply–add keeps its FSMs
-/// and address generators but halves its operand registers and adder
-/// trees, so a 16-bit circuit lands at `base + (lut32 − base) · 16/32`.
-/// At 4 bytes this returns [`lut_ff`] exactly (the planner's 32-bit
-/// behavior is pinned); wider analysis formats scale up symmetrically.
-pub fn modelled_lut_ff_at(
-    layer: LayerName,
-    parallelism: usize,
-    bytes_per_value: usize,
-) -> (u32, u32) {
-    let (lut32, ff32) = lut_ff(layer, parallelism);
+/// LUT/FF of one circuit at a parameter width of `bytes_per_value`.
+/// The 32-bit figure is the synthesis characterization when Table 3
+/// has the cell and the linear model otherwise. Other widths split it
+/// into a width-independent control base and a datapath share that
+/// scales linearly with the operand width: a Q16 multiply–add keeps
+/// its FSMs and address generators but halves its operand registers
+/// and adder trees, so a 16-bit circuit lands at
+/// `base + (lut32 − base) · 16/32`. Wider analysis formats scale up
+/// symmetrically.
+pub fn lut_ff(layer: LayerName, parallelism: usize, bytes_per_value: usize) -> (u32, u32) {
+    let (lut32, ff32) = characterized_lut_ff(layer, parallelism)
+        .unwrap_or_else(|| modelled_lut_ff(layer, parallelism));
     if bytes_per_value == 4 {
         return (lut32, ff32);
     }
@@ -246,36 +236,17 @@ pub fn ode_block_resources(layer: LayerName, parallelism: usize) -> ResourceRepo
         "parallelism is bounded by the output channel count ({})",
         geom.c
     );
-    let bram18 = feature_buffer_bram18(geom) + weight_bank_bram18(geom, parallelism);
+    let bram18 = feature_buffer_bram18(geom, 4) + weight_bank_bram18(geom, parallelism, 4);
     let characterized = characterized_lut_ff(layer, parallelism).is_some();
-    let (lut, ff) = lut_ff(layer, parallelism);
+    let (lut, ff) = lut_ff(layer, parallelism, 4);
     ResourceReport {
         layer,
         parallelism,
         bram18,
-        dsp: dsp_slices(parallelism),
+        dsp: dsp_slices(parallelism, 4),
         lut,
         ff,
         characterized,
-    }
-}
-
-/// BRAM18 half-blocks for the feature buffers at an arbitrary parameter
-/// width (the footnote-2 exploration: "using reduced bit widths (e.g.,
-/// 16-bit or less) can implement more layers in PL").
-pub fn feature_buffer_bram18_at(geom: LayerGeom, bytes_per_value: usize) -> u32 {
-    let bytes = (geom.c + 1) * geom.hw * geom.hw * bytes_per_value;
-    3 * 2 * bytes.div_ceil(Board::BRAM36_BYTES) as u32
-}
-
-/// BRAM18 half-blocks for the weight banks at an arbitrary width.
-pub fn weight_bank_bram18_at(geom: LayerGeom, parallelism: usize, bytes_per_value: usize) -> u32 {
-    let bank_bytes = 2 * (geom.c + 1) * 9 * bytes_per_value;
-    let banks = geom.c as u32;
-    if bank_bytes <= Board::BRAM18_BYTES && parallelism <= geom.c / 2 {
-        banks
-    } else {
-        banks * 2 * bank_bytes.div_ceil(Board::BRAM36_BYTES) as u32
     }
 }
 
@@ -283,23 +254,9 @@ pub fn weight_bank_bram18_at(geom: LayerGeom, parallelism: usize, bytes_per_valu
 /// width (4 = the paper's 32-bit build).
 pub fn bram36_at_width(layer: LayerName, parallelism: usize, bytes_per_value: usize) -> f64 {
     let geom = layer_geom(layer);
-    (feature_buffer_bram18_at(geom, bytes_per_value)
-        + weight_bank_bram18_at(geom, parallelism, bytes_per_value)) as f64
+    (feature_buffer_bram18(geom, bytes_per_value)
+        + weight_bank_bram18(geom, parallelism, bytes_per_value)) as f64
         / 2.0
-}
-
-/// Aggregate `(BRAM36, DSP, LUT, FF)` demand of a multi-circuit
-/// placement at an arbitrary parameter width — the totals a board must
-/// offer to carry every circuit in `layers` simultaneously. The single
-/// summation behind [`crate::planner::OffloadTarget::fits_at`] and the
-/// partitioner's shard-infeasibility diagnostics.
-pub fn placement_resources_at(
-    layers: &[LayerName],
-    parallelism: usize,
-    bytes_per_value: usize,
-) -> (f64, u32, u32, u32) {
-    let pairs: Vec<(LayerName, usize)> = layers.iter().map(|&l| (l, bytes_per_value)).collect();
-    placement_resources_mixed(&pairs, parallelism)
 }
 
 /// Bytes of parameters one offloaded stage's circuit holds at the
@@ -315,12 +272,13 @@ pub fn stage_param_bytes(spec: &rodenet::NetSpec, layer: LayerName, bytes_per_va
         as u64
 }
 
-/// [`placement_resources_at`] with a **per-circuit** parameter width:
-/// each `(layer, bytes_per_value)` pair is priced at its own word
-/// format — the mixed-precision generalization the per-stage policies
-/// feasibility-check against. The uniform entry point above is the
-/// all-stages-same-bytes special case.
-pub fn placement_resources_mixed(
+/// Aggregate `(BRAM36, DSP, LUT, FF)` demand of a multi-circuit
+/// placement — the totals a board must offer to carry every circuit
+/// simultaneously. Each `(layer, bytes_per_value)` pair is priced at
+/// its own word width, so a mixed-precision placement sums its
+/// differently-sized circuits. The single summation behind
+/// [`crate::planner::OffloadTarget::fits`].
+pub fn placement_resources(
     stages: &[(LayerName, usize)],
     parallelism: usize,
 ) -> (f64, u32, u32, u32) {
@@ -330,8 +288,8 @@ pub fn placement_resources_mixed(
     let mut ff = 0u32;
     for &(layer, bytes_per_value) in stages {
         bram36 += bram36_at_width(layer, parallelism, bytes_per_value);
-        dsp += dsp_slices_at_width(parallelism, bytes_per_value);
-        let (l, f) = modelled_lut_ff_at(layer, parallelism, bytes_per_value);
+        dsp += dsp_slices(parallelism, bytes_per_value);
+        let (l, f) = lut_ff(layer, parallelism, bytes_per_value);
         lut += l;
         ff += f;
     }
@@ -491,57 +449,37 @@ mod tests {
     }
 
     #[test]
-    fn width_model_consistent_with_default() {
-        for layer in [LayerName::Layer1, LayerName::Layer2_2, LayerName::Layer3_2] {
-            for n in [1usize, 8, 16] {
-                let r = ode_block_resources(layer, n);
-                assert_eq!(
-                    bram36_at_width(layer, n, 4),
-                    r.bram36_used(),
-                    "{layer} x{n}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dsp_tiling_by_width() {
-        // 4-byte (paper) = 4 per MAC — Table 3 exact; the other widths
-        // follow the ⌈b/25⌉·⌈b/18⌉ tiling of the 25×18 multiplier.
-        assert_eq!(dsp_slices_at_width(16, 4), dsp_slices(16));
-        assert_eq!(dsp_slices_at_width(16, 2), 16 + 4);
-        assert_eq!(dsp_slices_at_width(16, 1), 16 + 4);
-        assert_eq!(
-            dsp_slices_at_width(16, 3),
-            2 * 16 + 4,
-            "24-bit needs 1×2 tiles"
-        );
-        assert_eq!(
-            dsp_slices_at_width(16, 8),
-            12 * 16 + 4,
-            "64-bit needs 3×4 tiles"
-        );
+        // 4-byte (paper) = 4 per MAC is pinned on every Table 3 cell by
+        // `table3_dsp_exact_all_cells`; the other widths follow the
+        // ⌈b/25⌉·⌈b/18⌉ tiling of the 25×18 multiplier.
+        assert_eq!(dsp_slices(16, 2), 16 + 4);
+        assert_eq!(dsp_slices(16, 1), 16 + 4);
+        assert_eq!(dsp_slices(16, 3), 2 * 16 + 4, "24-bit needs 1×2 tiles");
+        assert_eq!(dsp_slices(16, 8), 12 * 16 + 4, "64-bit needs 3×4 tiles");
     }
 
     #[test]
     fn width_aware_lut_ff_scales_datapath_only() {
         for layer in [LayerName::Layer1, LayerName::Layer2_2, LayerName::Layer3_2] {
-            for n in [1usize, 8, 16] {
-                // The paper's width reproduces the characterized numbers.
+            // The paper's width reproduces all 12 characterized cells.
+            for n in [1usize, 4, 8, 16] {
                 assert_eq!(
-                    modelled_lut_ff_at(layer, n, 4),
-                    lut_ff(layer, n),
+                    Some(lut_ff(layer, n, 4)),
+                    characterized_lut_ff(layer, n),
                     "{layer} x{n}"
                 );
+            }
+            for n in [1usize, 8, 16] {
                 // Narrower words shrink, wider grow — monotone in width.
-                let (l16, f16) = modelled_lut_ff_at(layer, n, 2);
-                let (l32, f32v) = modelled_lut_ff_at(layer, n, 4);
-                let (l64, f64v) = modelled_lut_ff_at(layer, n, 8);
+                let (l16, f16) = lut_ff(layer, n, 2);
+                let (l32, f32v) = lut_ff(layer, n, 4);
+                let (l64, f64v) = lut_ff(layer, n, 8);
                 assert!(l16 < l32 && l32 < l64, "{layer} x{n} lut {l16}/{l32}/{l64}");
                 assert!(f16 < f32v && f32v < f64v, "{layer} x{n} ff");
                 // The control base never scales away: a 1-byte datapath
                 // still carries more than half the base logic.
-                let (l8, _) = modelled_lut_ff_at(layer, n, 1);
+                let (l8, _) = lut_ff(layer, n, 1);
                 let (lb, _, _, _) = lut_ff_coeffs(layer);
                 assert!(l8 as f64 >= lb, "{layer} x{n}: {l8} under base {lb}");
             }
@@ -555,36 +493,37 @@ mod tests {
         // conv_x16/Q20 (17 838 LUTs characterized) yet admits it at Q16
         // (the datapath share halves to ≈9 970) — reduced-width shards
         // must not be gated by the conservative 32-bit table.
+        use crate::plan::PlFormat;
         use crate::planner::OffloadTarget;
         let mut lut_starved = PYNQ_Z2;
         lut_starved.lut = 12_000;
         let t = OffloadTarget::Layer1And22;
         assert!(
-            !t.fits_at(&lut_starved, 16, 4),
+            !t.fits(&lut_starved, 16, &PlFormat::Q20.into()),
             "17 838 LUTs at 32-bit exceed the 12 000 budget"
         );
         assert!(
-            t.fits_at(&lut_starved, 16, 2),
+            t.fits(&lut_starved, 16, &PlFormat::Q16 { frac: 8 }.into()),
             "the halved datapath fits the same budget at 16-bit"
         );
         // And it is genuinely the LUT axis that flips: BRAM/DSP fit at
         // both widths on this fabric.
         let bram: f64 = t.layers().iter().map(|&l| bram36_at_width(l, 16, 4)).sum();
         assert!(bram <= lut_starved.bram36 as f64);
-        assert!(2 * dsp_slices_at_width(16, 4) <= lut_starved.dsp);
+        assert!(2 * dsp_slices(16, 4) <= lut_starved.dsp);
     }
 
     #[test]
     fn placement_totals_sum_the_circuits() {
         use rodenet::LayerName::{Layer1, Layer2_2};
-        let (b1, d1, l1, f1) = placement_resources_at(&[Layer1], 16, 4);
-        let (b2, d2, l2, f2) = placement_resources_at(&[Layer2_2], 16, 4);
-        let (b, d, l, f) = placement_resources_at(&[Layer1, Layer2_2], 16, 4);
+        let (b1, d1, l1, f1) = placement_resources(&[(Layer1, 4)], 16);
+        let (b2, d2, l2, f2) = placement_resources(&[(Layer2_2, 2)], 16);
+        let (b, d, l, f) = placement_resources(&[(Layer1, 4), (Layer2_2, 2)], 16);
         assert_eq!(b, b1 + b2);
         assert_eq!((d, l, f), (d1 + d2, l1 + l2, f1 + f2));
         assert_eq!(b1, bram36_at_width(Layer1, 16, 4));
         assert_eq!(
-            placement_resources_at(&[], 16, 4),
+            placement_resources(&[], 16),
             (0.0, 0, 0, 0),
             "a software placement demands nothing"
         );

@@ -198,15 +198,11 @@ impl Default for PlModel {
 
 impl PlModel {
     /// Seconds for an offloaded stage of `execs` block runs (including
-    /// the DMA round trip) at the configuration's closed clock.
-    pub fn stage_seconds(&self, layer: LayerName, execs: usize, board: &Board) -> f64 {
-        self.stage_seconds_at(layer, execs, board, 4)
-    }
-
-    /// [`PlModel::stage_seconds`] at an arbitrary PL word width: the
-    /// compute cycles are width-independent, the DMA round trip scales
-    /// with `bytes_per_value` (see [`crate::datapath::stage_cycles_at`]).
-    pub fn stage_seconds_at(
+    /// the DMA round trip) at the configuration's closed clock and a PL
+    /// word width of `bytes_per_value`: the compute cycles are
+    /// width-independent, the DMA round trip scales with the word (see
+    /// [`crate::datapath::stage_cycles`]).
+    pub fn stage_seconds(
         &self,
         layer: LayerName,
         execs: usize,
@@ -214,47 +210,24 @@ impl PlModel {
         bytes_per_value: usize,
     ) -> f64 {
         let clock = timing_closure_hz(self.parallelism).min(board.pl_clock_hz);
-        crate::datapath::stage_cycles_at(layer, self.parallelism, execs, bytes_per_value) as f64
+        crate::datapath::stage_cycles(layer, self.parallelism, execs, bytes_per_value) as f64
             / clock as f64
     }
 
     /// Per-image PL busy seconds of one board carrying every layer of
     /// `target` for `spec` (each ODE stage repeats its solver steps,
-    /// plain stages run once; DMA included). This is the per-board
+    /// plain stages run once; DMA included), each stage's DMA share
+    /// priced at its own format in `formats`. This is the per-board
     /// term the partitioner's balanced search drives down — and a
     /// cheap lower bound on any schedule's makespan share for that
     /// board ([`crate::partition::Partitioner::BalancedMakespan`]
     /// prunes candidates with it before simulating).
-    pub fn placement_seconds_at(
-        &self,
-        spec: &NetSpec,
-        target: &OffloadTarget,
-        board: &Board,
-        bytes_per_value: usize,
-    ) -> f64 {
-        self.placement_seconds_by(spec, target, board, |_| bytes_per_value)
-    }
-
-    /// [`PlModel::placement_seconds_at`] with **per-stage** word
-    /// widths: each stage's DMA share is priced at its own resolved
-    /// format, so the partitioner's cost model sees mixed-precision
-    /// deployments exactly as they will run.
-    pub fn placement_seconds_with(
+    pub fn placement_seconds(
         &self,
         spec: &NetSpec,
         target: &OffloadTarget,
         board: &Board,
         formats: &StageFormats,
-    ) -> f64 {
-        self.placement_seconds_by(spec, target, board, |layer| formats.bytes_of(layer))
-    }
-
-    fn placement_seconds_by(
-        &self,
-        spec: &NetSpec,
-        target: &OffloadTarget,
-        board: &Board,
-        bytes_of: impl Fn(LayerName) -> usize,
     ) -> f64 {
         target
             .layers()
@@ -262,7 +235,7 @@ impl PlModel {
             .map(|&layer| {
                 let plan = spec.plan(layer);
                 let execs = if plan.is_ode { plan.execs } else { 1 };
-                self.stage_seconds_at(layer, execs, board, bytes_of(layer))
+                self.stage_seconds(layer, execs, board, formats.bytes_of(layer))
             })
             .sum()
     }
@@ -291,7 +264,10 @@ pub struct Table5Row {
     pub speedup: f64,
 }
 
-/// Compute one Table 5 row (the paper's 32-bit PL datapath).
+/// Compute one Table 5 row. The PS side is width-independent; each
+/// offloaded stage's "Target w/ PL" cell pays its own format's DMA
+/// share from `formats` (`&StageFormats::default()` is the paper's
+/// uniform 32-bit Q20 build).
 pub fn table5_row(
     variant: Variant,
     n: usize,
@@ -299,53 +275,7 @@ pub fn table5_row(
     ps: &PsModel,
     pl: &PlModel,
     board: &Board,
-) -> Table5Row {
-    table5_row_at(variant, n, offload, ps, pl, board, 4)
-}
-
-/// [`table5_row`] at an arbitrary PL word width: the PS side is
-/// unchanged, the PL stage times see the narrower DMA transfers.
-#[allow(clippy::too_many_arguments)]
-pub fn table5_row_at(
-    variant: Variant,
-    n: usize,
-    offload: &OffloadTarget,
-    ps: &PsModel,
-    pl: &PlModel,
-    board: &Board,
-    bytes_per_value: usize,
-) -> Table5Row {
-    table5_row_by(variant, n, offload, ps, pl, board, |_| bytes_per_value)
-}
-
-/// [`table5_row`] with **per-stage** word widths from a resolved
-/// precision table: each offloaded stage's "Target w/ PL" cell pays
-/// its own format's DMA share, so a mixed deployment's cached latency
-/// decomposition prices every stage at the width it will execute in.
-#[allow(clippy::too_many_arguments)]
-pub fn table5_row_with(
-    variant: Variant,
-    n: usize,
-    offload: &OffloadTarget,
-    ps: &PsModel,
-    pl: &PlModel,
-    board: &Board,
     formats: &StageFormats,
-) -> Table5Row {
-    table5_row_by(variant, n, offload, ps, pl, board, |layer| {
-        formats.bytes_of(layer)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn table5_row_by(
-    variant: Variant,
-    n: usize,
-    offload: &OffloadTarget,
-    ps: &PsModel,
-    pl: &PlModel,
-    board: &Board,
-    bytes_of: impl Fn(LayerName) -> usize,
 ) -> Table5Row {
     let spec = NetSpec::new(variant, n);
     let total_wo_pl = ps.spec_seconds(&spec, board);
@@ -359,7 +289,7 @@ fn table5_row_by(
             "only single-instance (ODE) layers are offloaded in the paper"
         );
         let wo = ps.stage_seconds(layer, plan.is_ode, plan.execs, board);
-        let w = pl.stage_seconds_at(layer, plan.execs, board, bytes_of(layer));
+        let w = pl.stage_seconds(layer, plan.execs, board, formats.bytes_of(layer));
         ratio_pct.push(100.0 * wo / total_wo_pl);
         targets_wo_pl.push(wo);
         targets_w_pl.push(w);
@@ -395,6 +325,7 @@ pub fn paper_row(variant: Variant, n: usize) -> Table5Row {
         &PsModel::Calibrated,
         &PlModel::default(),
         &PYNQ_Z2,
+        &StageFormats::default(),
     )
 }
 
@@ -539,21 +470,22 @@ mod tests {
         // cells of the Table 5 row for the same placement.
         let pl = PlModel::default();
         let spec = NetSpec::new(Variant::OdeNet, 56);
+        let q16 = StageFormats::from(crate::plan::PlFormat::Q16 { frac: 8 });
         for target in [
             OffloadTarget::None,
             OffloadTarget::Layer1,
             OffloadTarget::Layer1And22,
             OffloadTarget::AllOde,
         ] {
-            let busy = pl.placement_seconds_at(&spec, &target, &PYNQ_Z2, 2);
-            let row = table5_row_at(
+            let busy = pl.placement_seconds(&spec, &target, &PYNQ_Z2, &q16);
+            let row = table5_row(
                 spec.variant,
                 spec.n,
                 &target,
                 &PsModel::Calibrated,
                 &pl,
                 &PYNQ_Z2,
-                2,
+                &q16,
             );
             let expect: f64 = row.targets_w_pl.iter().sum();
             assert!(
@@ -562,7 +494,7 @@ mod tests {
             );
         }
         assert_eq!(
-            pl.placement_seconds_at(&spec, &OffloadTarget::None, &PYNQ_Z2, 2),
+            pl.placement_seconds(&spec, &OffloadTarget::None, &PYNQ_Z2, &q16),
             0.0
         );
     }

@@ -39,7 +39,7 @@ fn main() {
                 .build()
                 .expect("Auto placement is always feasible (None at worst)");
             let target = engine.target();
-            let row = table5_row(v, n, &target, &ps, &pl, &PYNQ_Z2);
+            let row = table5_row(v, n, &target, &ps, &pl, &PYNQ_Z2, &StageFormats::default());
             let kb = spec_kb(&spec);
             println!(
                 "{:<14} {:>3} {:>10.1} {:>12.2} {:>12.2} {:>8.2}x {:>22}",

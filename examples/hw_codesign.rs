@@ -41,7 +41,7 @@ fn main() {
             let r = ode_block_resources(layer, n_units);
             let clock = timing_closure_hz(n_units);
             let cycles = block_exec_cycles(layer, n_units);
-            let stage_ms = stage_cycles(layer, n_units, execs) as f64 / clock as f64 * 1e3;
+            let stage_ms = stage_cycles(layer, n_units, execs, 4) as f64 / clock as f64 * 1e3;
             let fits = r.fits(&PYNQ_Z2);
             println!(
                 "  {:>8} {:>12} {:>10.1} {:>8.1} {:>6} {:>7} {:>7} {:>5}MHz {:>6}",

@@ -144,7 +144,15 @@ fn engine_timing_consistent_with_model() {
             .build()
             .expect("paper placements fit");
         let run = engine.infer(&x).expect("runs");
-        let row = zynq_sim::timing::table5_row(v, 20, &target, &ps, &pl, &PYNQ_Z2);
+        let row = zynq_sim::timing::table5_row(
+            v,
+            20,
+            &target,
+            &ps,
+            &pl,
+            &PYNQ_Z2,
+            &StageFormats::default(),
+        );
         assert!(
             (run.total_seconds() - row.total_w_pl).abs() < 1e-9,
             "{v}: {} vs {}",

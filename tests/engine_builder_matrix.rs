@@ -198,12 +198,10 @@ fn conflict_classes_are_the_documented_errors() {
 /// parallelisms × {Auto, AutoExtended, every fixed target}.
 #[test]
 fn single_board_plans_match_the_models() {
-    use zynq_sim::datapath::dma_words_at;
-    use zynq_sim::planner::{plan_offload_extended_with, plan_offload_with};
-    use zynq_sim::resources::{
-        bram36_at_width, dsp_slices_at_width, modelled_lut_ff_at, stage_param_bytes,
-    };
-    use zynq_sim::timing::table5_row_with;
+    use zynq_sim::datapath::dma_words;
+    use zynq_sim::planner::plan_offload_extended;
+    use zynq_sim::resources::{bram36_at_width, dsp_slices, lut_ff, stage_param_bytes};
+    use zynq_sim::timing::table5_row;
     use zynq_sim::{ARTY_Z7_10, ARTY_Z7_20};
 
     let offloads: Vec<Offload> = [Offload::Auto, Offload::AutoExtended]
@@ -236,22 +234,10 @@ fn single_board_plans_match_the_models() {
                             );
                             let result = plan_deployment(&spec, &req);
                             let expected = match offload {
-                                Offload::Auto => plan_offload_with(
-                                    &spec,
-                                    &board,
-                                    parallelism,
-                                    &ps,
-                                    &pl,
-                                    &formats,
-                                ),
-                                Offload::AutoExtended => plan_offload_extended_with(
-                                    &spec,
-                                    &board,
-                                    parallelism,
-                                    &ps,
-                                    &pl,
-                                    &formats,
-                                ),
+                                Offload::Auto => plan_offload(&spec, &board, &ps, &pl, &formats),
+                                Offload::AutoExtended => {
+                                    plan_offload_extended(&spec, &board, &ps, &pl, &formats)
+                                }
                                 Offload::Target(t) => {
                                     if !t.applicable_extended(&spec) {
                                         not_applicable += 1;
@@ -265,7 +251,7 @@ fn single_board_plans_match_the_models() {
                                         );
                                         continue;
                                     }
-                                    if !t.fits_with(&board, parallelism, &formats) {
+                                    if !t.fits(&board, parallelism, &formats) {
                                         infeasible += 1;
                                         assert_eq!(
                                             result.as_ref().err(),
@@ -310,30 +296,25 @@ fn single_board_plans_match_the_models() {
                                     bram36_at_width(layer, parallelism, bytes),
                                     "{ctx}"
                                 );
-                                assert_eq!(
-                                    stage.dsp,
-                                    dsp_slices_at_width(parallelism, bytes),
-                                    "{ctx}"
-                                );
+                                assert_eq!(stage.dsp, dsp_slices(parallelism, bytes), "{ctx}");
                                 assert_eq!(
                                     (stage.lut, stage.ff),
-                                    modelled_lut_ff_at(layer, parallelism, bytes),
+                                    lut_ff(layer, parallelism, bytes),
                                     "{ctx}"
                                 );
                                 assert_eq!(
                                     stage.pl_seconds,
-                                    pl.stage_seconds_at(layer, execs, &board, bytes),
+                                    pl.stage_seconds(layer, execs, &board, bytes),
                                     "{ctx}"
                                 );
-                                assert_eq!(stage.dma_words, dma_words_at(layer, bytes), "{ctx}");
+                                assert_eq!(stage.dma_words, dma_words(layer, bytes), "{ctx}");
                                 assert_eq!(
                                     stage.param_bytes,
                                     stage_param_bytes(&spec, layer, bytes),
                                     "{ctx}"
                                 );
                             }
-                            let row =
-                                table5_row_with(variant, n, &expected, &ps, &pl, &board, &formats);
+                            let row = table5_row(variant, n, &expected, &ps, &pl, &board, &formats);
                             assert_eq!(plan.table5().total_w_pl, row.total_w_pl, "{ctx}");
                             assert_eq!(plan.total_seconds(), row.total_w_pl, "{ctx}");
                         }

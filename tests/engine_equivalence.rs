@@ -50,7 +50,7 @@ fn reference_hybrid(
                     1
                 };
                 let run = accel.run_stage(&zq, execs);
-                dma += dma_words(stage.name);
+                dma += dma_words(stage.name, 4);
                 pl_seconds += run.seconds;
                 z = run.output.to_f32();
             } else {
@@ -103,8 +103,8 @@ fn engine_bit_identical_to_legacy_across_matrix() {
                     .pl_model(pl)
                     .bn_mode(bn)
                     .build();
-                let valid =
-                    target.applicable_extended(&spec) && target.fits(&PYNQ_Z2, pl.parallelism);
+                let valid = target.applicable_extended(&spec)
+                    && target.fits(&PYNQ_Z2, pl.parallelism, &StageFormats::default());
                 match engine {
                     Ok(engine) => {
                         assert!(valid, "{variant}/{target:?} should have been rejected");

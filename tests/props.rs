@@ -64,8 +64,8 @@ proptest! {
     /// feature maps: DMA paid once).
     #[test]
     fn stage_cycles_affine(layer in any_layer(), e in 1usize..20) {
-        let one = stage_cycles(layer, 16, 1);
-        let many = stage_cycles(layer, 16, e);
+        let one = stage_cycles(layer, 16, 1, 4);
+        let many = stage_cycles(layer, 16, e, 4);
         let per = block_exec_cycles(layer, 16);
         prop_assert_eq!(many, one + (e as u64 - 1) * per);
     }
@@ -73,10 +73,11 @@ proptest! {
     /// Every feasible placement actually fits; `None` is always feasible.
     #[test]
     fn feasible_targets_fit(parallelism in 1usize..16) {
-        let targets = feasible_targets(&PYNQ_Z2, parallelism);
+        let q20 = StageFormats::default();
+        let targets = feasible_targets(&PYNQ_Z2, parallelism, &q20);
         prop_assert!(targets.contains(&OffloadTarget::None));
         for t in targets {
-            prop_assert!(t.fits(&PYNQ_Z2, parallelism));
+            prop_assert!(t.fits(&PYNQ_Z2, parallelism, &q20));
         }
     }
 
@@ -91,6 +92,7 @@ proptest! {
             &PsModel::Calibrated,
             &PlModel::default(),
             &PYNQ_Z2,
+            &StageFormats::default(),
         );
         prop_assert!(row.total_wo_pl > 0.0);
         prop_assert!(row.total_w_pl > 0.0);

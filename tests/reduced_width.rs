@@ -132,10 +132,13 @@ fn sixteen_bit_auto_deploys_placement_infeasible_at_q20() {
     let target = engine.target();
     assert_eq!(target, OffloadTarget::AllOde, "planner exploits the width");
     assert!(
-        !target.fits(&PYNQ_Z2, 16),
+        !target.fits(&PYNQ_Z2, 16, &StageFormats::default()),
         "the same placement must NOT fit the board at 32-bit Q20"
     );
-    assert!(target.fits_at(&PYNQ_Z2, 16, 2), "and must fit at 16-bit");
+    assert!(
+        target.fits(&PYNQ_Z2, 16, &PlFormat::Q16 { frac: 10 }.into()),
+        "and must fit at 16-bit"
+    );
     // The identical request at the default Q20 cannot reach it: Auto
     // falls back to a §3.2 placement, and asking for it explicitly is
     // a typed error.
