@@ -87,7 +87,7 @@
 
 use bench::{pct2, s2, Table};
 use cifar_data::synth::{generate_split, SynthConfig};
-use qfixed::{Mac, MacPolicy, QFormat, Q20};
+use qfixed::{Mac, MacPolicy, Q10x16, QFormat, Q20};
 use rodenet::params::{block_kb, reduction_vs_resnet, spec_kb, spec_params, table2};
 use rodenet::train::{evaluate, train_epochs, TrainConfig};
 use rodenet::{BnMode, GradMode, LayerName, NetSpec, Network, Variant, PAPER_DEPTHS};
@@ -1788,12 +1788,17 @@ fn hotpath_cmd(flags: &Flags) {
         row(name.name(), r, f);
         if name == LayerName::Layer3_2 {
             // The same stage as the hybrid placement's PL runs it: the
-            // bit-exact Q20 emulation of the circuit, all Euler steps.
+            // bit-exact emulation of the circuit, all Euler steps, at the
+            // paper's Q20 and at the footnote-2 16-bit Q16.10.
             let stage = net.stage(name).expect("stage_forward found it");
             let accel = OdeBlockAccel::<Q20>::new(&stage.blocks[0], 16, &PYNQ_Z2);
             let zq = Tensor::<Q20>::from_f32_tensor(&z);
             let (r, f) = face_off(3, || accel.run_stage(&zq, stage.plan.execs));
             row("layer3_2 PL stage (Q20)", r, f);
+            let accel = OdeBlockAccel::<Q10x16>::new(&stage.blocks[0], 16, &PYNQ_Z2);
+            let zq = Tensor::<Q10x16>::from_f32_tensor(&z);
+            let (r, f) = face_off(3, || accel.run_stage(&zq, stage.plan.execs));
+            row("layer3_2 PL stage (Q16.10)", r, f);
         }
         z = next;
     }

@@ -18,7 +18,10 @@ use crate::init::he_conv;
 use crate::params::layer_channels;
 use rand::Rng;
 use tensor::bn::{bn_apply, bn_backward, bn_onthefly, bn_train_forward, BnCache, DEFAULT_EPS};
-use tensor::conv::{conv2d, conv2d_backward_input, conv2d_backward_weights, Conv2dParams};
+use tensor::conv::{
+    conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_packed, Conv2dParams,
+    ConvWeights,
+};
 use tensor::ops::{concat_time_channel, relu, relu_backward, split_time_channel_grad};
 use tensor::pool::{shortcut_a, shortcut_a_backward};
 use tensor::{Scalar, Shape4, Tensor};
@@ -366,11 +369,11 @@ impl ResBlock {
             stride: self.stride,
             in_ch: self.in_ch,
             out_ch: self.out_ch,
-            w1: Tensor::from_f32_tensor(&self.conv1.w),
+            w1: ConvWeights::new(Tensor::from_f32_tensor(&self.conv1.w)),
             cfg1: self.conv1.cfg,
             gamma1: qv(&self.bn1.gamma),
             beta1: qv(&self.bn1.beta),
-            w2: Tensor::from_f32_tensor(&self.conv2.w),
+            w2: ConvWeights::new(Tensor::from_f32_tensor(&self.conv2.w)),
             cfg2: self.conv2.cfg,
             gamma2: qv(&self.bn2.gamma),
             beta2: qv(&self.bn2.beta),
@@ -406,16 +409,16 @@ pub struct QuantBlock<S: Scalar> {
     pub in_ch: usize,
     /// Output channels.
     pub out_ch: usize,
-    /// Quantized conv1 weights.
-    pub w1: Tensor<S>,
+    /// Quantized conv1 weights, packed once for the fixed-point conv.
+    pub w1: ConvWeights<S>,
     /// conv1 stride/pad.
     pub cfg1: Conv2dParams,
     /// Quantized BN1 γ.
     pub gamma1: Vec<S>,
     /// Quantized BN1 β.
     pub beta1: Vec<S>,
-    /// Quantized conv2 weights.
-    pub w2: Tensor<S>,
+    /// Quantized conv2 weights, packed once for the fixed-point conv.
+    pub w2: ConvWeights<S>,
     /// conv2 stride/pad.
     pub cfg2: Conv2dParams,
     /// Quantized BN2 γ.
@@ -434,7 +437,7 @@ impl<S: Scalar> QuantBlock<S> {
         } else {
             z.clone()
         };
-        let c1 = conv2d(&zc, &self.w1, self.cfg1);
+        let c1 = conv2d_packed(&zc, &self.w1, self.cfg1);
         let b1 = bn_onthefly(&c1, &self.gamma1, &self.beta1, self.eps);
         let r = relu(&b1);
         let rc = if self.time_aug {
@@ -442,7 +445,7 @@ impl<S: Scalar> QuantBlock<S> {
         } else {
             r
         };
-        let c2 = conv2d(&rc, &self.w2, self.cfg2);
+        let c2 = conv2d_packed(&rc, &self.w2, self.cfg2);
         bn_onthefly(&c2, &self.gamma2, &self.beta2, self.eps)
     }
 

@@ -511,7 +511,7 @@ impl Network {
         QuantNetwork {
             spec: self.spec,
             pre: QuantPre {
-                w: Tensor::from_f32_tensor(&self.pre.conv.w),
+                w: tensor::conv::ConvWeights::new(Tensor::from_f32_tensor(&self.pre.conv.w)),
                 cfg: self.pre.conv.cfg,
                 gamma: qv(&self.pre.bn.gamma),
                 beta: qv(&self.pre.bn.beta),

@@ -13,7 +13,7 @@
 use crate::arch::{LayerName, LayerPlan, NetSpec};
 use crate::block::QuantBlock;
 use tensor::bn::bn_onthefly;
-use tensor::conv::{conv2d, Conv2dParams};
+use tensor::conv::{conv2d_packed, Conv2dParams, ConvWeights};
 use tensor::linear::fc_forward_s;
 use tensor::ops::relu;
 use tensor::pool::global_avg_pool;
@@ -22,8 +22,9 @@ use tensor::{Scalar, Tensor};
 /// conv1 (3×3 conv + BN + ReLU) in the quantized number system.
 #[derive(Clone, Debug)]
 pub struct QuantPre<S: Scalar> {
-    /// Quantized convolution weights `(16, 3, 3, 3)`.
-    pub w: Tensor<S>,
+    /// Quantized convolution weights `(16, 3, 3, 3)`, packed once for
+    /// the fixed-point conv.
+    pub w: ConvWeights<S>,
     /// Stride/padding.
     pub cfg: Conv2dParams,
     /// Quantized BN scale.
@@ -37,7 +38,7 @@ pub struct QuantPre<S: Scalar> {
 impl<S: Scalar> QuantPre<S> {
     /// conv1 forward (on-the-fly statistics, as the PL computes them).
     pub fn forward(&self, x: &Tensor<S>) -> Tensor<S> {
-        let c = conv2d(x, &self.w, self.cfg);
+        let c = conv2d_packed(x, &self.w, self.cfg);
         relu(&bn_onthefly(&c, &self.gamma, &self.beta, self.eps))
     }
 }
@@ -121,11 +122,11 @@ impl<S: Scalar> QuantNetwork<S> {
     /// this, which is exactly the BRAM headroom the reduced-width
     /// placements spend.
     pub fn param_bytes(&self) -> usize {
-        let mut values = self.pre.w.len() + self.pre.gamma.len() + self.pre.beta.len();
+        let mut values = self.pre.w.raw().len() + self.pre.gamma.len() + self.pre.beta.len();
         for stage in &self.stages {
             for b in &stage.blocks {
-                values += b.w1.len()
-                    + b.w2.len()
+                values += b.w1.raw().len()
+                    + b.w2.raw().len()
                     + b.gamma1.len()
                     + b.beta1.len()
                     + b.gamma2.len()

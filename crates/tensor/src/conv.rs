@@ -17,47 +17,56 @@
 //! # Fast path
 //!
 //! [`conv2d`] dispatches the paper's hot case — 3×3, pad 1, stride 1 or 2
-//! — to an im2col + GEMM kernel ([`conv2d_im2col_3x3`]) whose inner loops
-//! carry **zero bounds checks**: each im2col row is packed as
-//! `zero border | contiguous interior copy | zero border`, and the GEMM
-//! walks fixed-size slices. Every other geometry (and
+//! — to a packed GEMM kernel ([`conv2d_im2col_3x3`]) whose inner loops
+//! carry **no per-element branch**. Every other geometry (and
 //! [`set_force_reference`]) falls back to the original scalar kernel,
-//! retained verbatim as [`conv2d_reference`]. The GEMM itself is the
-//! [`Scalar::im2col_gemm`] hook, so each scalar type multiplies the packed
-//! matrix its own way.
+//! retained verbatim as [`conv2d_reference`]. Which GEMM runs depends on
+//! the scalar type's [`Scalar::FIXED_POINT`]:
 //!
-//! Both paths are **bit-identical**, for every [`Scalar`], by one of two
-//! arguments:
-//!
-//! * **f32 and the 16-bit formats** run the default hook, a
+//! * **f32** packs the input into a `K × (OH·OW)` im2col matrix, each row
+//!   `zero border | contiguous interior copy | zero border`, and runs a
 //!   register-tiled GEMM: each tile of 4 output channels × 16 output
 //!   pixels keeps its 64 accumulators in registers over the whole K loop.
 //!   Every output is still its own `acc + w·x` chain in the reference's
 //!   `(i, ky, kx)` order; tiling only interleaves independent chains.
-//!   Padded taps contribute `w·0`: exact `0` on the wide fixed-point
-//!   accumulator, and `acc + (±0.0)` in `f32` — a bitwise no-op because
-//!   the accumulator can never hold `-0.0` (it starts at `+0.0`, and
+//!   Padded taps contribute `acc + (±0.0)`, a bitwise no-op because the
+//!   accumulator can never hold `-0.0` (it starts at `+0.0`, and
 //!   IEEE-754 addition only produces `-0.0` from two negative zeros).
 //!   f32 addition is not associative, so this K order must not change.
-//! * **32-bit fixed point** (`Fix<F>`, the PL's Q20) overrides the hook
-//!   with an offset-binary, register-tiled kernel. Its reference is a
-//!   wrapping i64 sum of exact i32×i32 products, i.e. the sum mod 2^64,
-//!   and integer sums mod 2^64 are order-free. With `w' = w + 2^31` and
-//!   `x' = x + 2^31` (the sign bit flipped, read as u32),
+//! * **Fixed point** (`Fix<F>`, the PL's Q20, and the 16-bit `Fix16<F>`)
+//!   runs one offset-binary core over raw 32-bit words, compiled once
+//!   for every width. Its reference is a wrapping i64 sum of exact
+//!   products, i.e. the sum mod 2^64, and integer sums mod 2^64 are
+//!   order-free. With `w' = w + 2^31` and `x' = x + 2^31` (the sign bit
+//!   flipped, read as u32),
 //!   `Σ w·x ≡ Σ w'x' − 2^31·(Σ w' + Σ x') + K·2^62 (mod 2^64)`, so the
-//!   kernel accumulates unsigned `w'x'` products — one `pmuludq` lane each
+//!   core accumulates unsigned `w'x'` products — one `pmuludq` lane each
 //!   on baseline x86-64, which has no signed 32×32→64 vector multiply —
-//!   in any order, corrects each output once, and hands `acc_finish`
-//!   exactly the reference's accumulator bits.
+//!   in any order, corrects each output once, and hands the format's
+//!   `acc_finish` exactly the reference's accumulator bits. `Fix16`
+//!   operands are sign-extended to 32 bits first. Its i16×i16 products
+//!   summed in i64 never wrap, so the mod-2^64 sum is the exact sum its
+//!   saturating `acc_finish` sees on the reference path.
+//!
+//! The fixed-point layout follows the circuit. The weights are packed
+//! once, as the PL loads them into BRAM once: a [`ConvWeights`] holds
+//! their offset-binary rows and row sums beside the raw tensor, and
+//! [`conv2d_packed`] reuses them on every call (`rodenet`'s quantized
+//! blocks build theirs when they are quantized; [`conv2d`] packs per
+//! call). The input is never expanded into an im2col matrix: it is
+//! flipped once into a copy with a one-pixel border of flipped zeros
+//! (`0x8000_0000`), and each output pixel's `C×3×3` window is gathered
+//! from it straight into the K-contiguous row the core reads, with the
+//! row's `Σ x'` taken in the same pass.
 //!
 //! The equivalence is pinned by unit tests here, proptests in
 //! `tensor/tests/props.rs` across shapes × strides × scalar types
-//! (including raw Q20 and Q16 bit patterns over all of `i32`), and a
-//! fixed sweep over the rODENet geometries in the root
+//! (including raw Q20, Q16 and `Fix16<10>` bit patterns over their whole
+//! range), and a fixed sweep over the rODENet geometries in the root
 //! `tests/conv_oracle.rs`.
 
+use crate::scalar::FixedPoint;
 use crate::{par, Scalar, Shape4, Tensor};
-use qfixed::Fix;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Stride / padding configuration.
@@ -122,15 +131,80 @@ pub fn force_reference() -> bool {
 /// Forward convolution, generic over the scalar type.
 ///
 /// Dispatches 3×3 / pad 1 / stride 1-or-2 (the only geometries the
-/// paper's networks use) to the im2col fast path; everything else runs
-/// the scalar reference kernel. Both produce bit-identical outputs.
+/// paper's networks use) to the fast path; everything else runs the
+/// scalar reference kernel. Both produce bit-identical outputs. A
+/// fixed-point call packs its weights afresh; [`conv2d_packed`] reuses a
+/// packing made once.
 pub fn conv2d<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams) -> Tensor<S> {
+    conv2d_with(x, w, None, p)
+}
+
+/// [`conv2d`] with weights packed once, ahead of the call — the software
+/// image of the circuit's BRAM-resident weights. It routes exactly as
+/// [`conv2d`] does, [`set_force_reference`] included: the reference
+/// kernel then runs on the raw weights.
+pub fn conv2d_packed<S: Scalar>(x: &Tensor<S>, w: &ConvWeights<S>, p: Conv2dParams) -> Tensor<S> {
+    conv2d_with(x, &w.raw, w.packed.as_ref(), p)
+}
+
+fn conv2d_with<S: Scalar>(
+    x: &Tensor<S>,
+    w: &Tensor<S>,
+    packed: Option<&PackedRows>,
+    p: Conv2dParams,
+) -> Tensor<S> {
     let ws = w.shape();
     let hot = ws.h == 3 && ws.w == 3 && p.pad == 1 && (p.stride == 1 || p.stride == 2);
     if hot && !force_reference() {
-        conv2d_im2col_3x3(x, w, p)
+        fast_3x3(x, w, packed, p)
     } else {
         conv2d_reference(x, w, p)
+    }
+}
+
+/// Convolution weights prepared once for the fast path: the raw tensor,
+/// which the reference kernel and the f32 GEMM read, and, for a
+/// fixed-point [`Scalar`], its offset-binary rows with their row sums,
+/// which the fixed-point core reads on every call.
+#[derive(Clone, Debug)]
+pub struct ConvWeights<S: Scalar> {
+    raw: Tensor<S>,
+    packed: Option<PackedRows>,
+}
+
+impl<S: Scalar> ConvWeights<S> {
+    /// Pack `raw`, shaped `(O, I, K, K)`.
+    pub fn new(raw: Tensor<S>) -> Self {
+        let packed = S::FIXED_POINT.map(|fp| PackedRows::new(&raw, fp));
+        ConvWeights { raw, packed }
+    }
+
+    /// The weights as given.
+    pub fn raw(&self) -> &Tensor<S> {
+        &self.raw
+    }
+}
+
+/// Offset-binary weight rows for the fixed-point core: row `o` holds
+/// `w'[o][k] = w[o][k] + 2^31` in the reference's `(i, ky, kx)` tap
+/// order, and zero rows pad the output channels to a whole `TILE_MR`.
+#[derive(Clone, Debug)]
+struct PackedRows {
+    rows: Vec<u32>,
+    /// `Σ_k w'[o][k]` per row, padded rows included.
+    sums: Vec<u64>,
+}
+
+impl PackedRows {
+    fn new<S: Scalar>(w: &Tensor<S>, fp: FixedPoint<S>) -> Self {
+        let ws = w.shape();
+        let kdim = ws.c * ws.h * ws.w;
+        let mut rows = vec![0u32; ws.n.next_multiple_of(TILE_MR) * kdim];
+        for (d, &v) in rows.iter_mut().zip(w.as_slice()) {
+            *d = offset_binary((fp.bits)(v));
+        }
+        let sums = rows.chunks(kdim.max(1)).map(row_sum).collect();
+        PackedRows { rows, sums }
     }
 }
 
@@ -189,18 +263,27 @@ const GEMM_MB: usize = 4;
 /// accumulators live over the whole K loop.
 const GEMM_NB: usize = 16;
 
-/// im2col + GEMM fast path for 3×3 / pad 1 / stride 1 or 2.
+/// The fast path for 3×3 / pad 1 / stride 1 or 2, packing fixed-point
+/// weights per call (see the module docs for both GEMMs).
 ///
-/// Per batch item the input is packed into a `K × (OH·OW)` column matrix
-/// (`K = C·9`, rows ordered `(i, ky, kx)` — the reference kernel's tap
-/// order), then multiplied by the `(O × K)` weight matrix through
-/// [`Scalar::im2col_gemm`]. Padded taps are packed as explicit zeros,
-/// which leave every accumulator bit-unchanged (see the module docs for
-/// why each GEMM matches the reference). The packed rows are built from
+/// For f32, each batch item's input is packed into a `K × (OH·OW)`
+/// column matrix (`K = C·9`, rows ordered `(i, ky, kx)` — the reference
+/// kernel's tap order) and multiplied by the `(O × K)` weight matrix in
+/// a register-tiled GEMM. Padded taps are packed as explicit zeros, which
+/// leave every accumulator bit-unchanged. The packed rows are built from
 /// precomputed interior ranges — `copy_from_slice` for stride 1, a
-/// `step_by(2)` zip for stride 2 — so neither packing nor GEMM performs a
-/// per-element bounds check.
+/// `step_by(2)` zip for stride 2 — so no per-element bounds check runs.
+/// Fixed point runs the offset-binary core on directly packed windows.
 pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams) -> Tensor<S> {
+    fast_3x3(x, w, None, p)
+}
+
+fn fast_3x3<S: Scalar>(
+    x: &Tensor<S>,
+    w: &Tensor<S>,
+    packed: Option<&PackedRows>,
+    p: Conv2dParams,
+) -> Tensor<S> {
     let xs = x.shape();
     let ws = w.shape();
     assert_eq!(ws.h, 3, "fast path is 3x3 only");
@@ -208,13 +291,33 @@ pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParam
     assert!(p.stride == 1 || p.stride == 2, "fast path needs stride 1/2");
     let os = conv2d_out_shape(xs, ws, p);
     let mut out = Tensor::<S>::zeros(os);
-    let kdim = xs.c * 9; // GEMM K: taps per output, (i, ky, kx) order.
-    let nc = os.h * os.w; // GEMM N: output pixels of one plane.
-    if kdim == 0 {
+    if xs.c == 0 {
         // No input channels: every reference sum is empty.
         return out;
     }
-    let wsl = w.as_slice();
+    match S::FIXED_POINT {
+        Some(fp) => {
+            let fresh;
+            let packed = match packed {
+                Some(rows) => rows,
+                None => {
+                    fresh = PackedRows::new(w, fp);
+                    &fresh
+                }
+            };
+            offset_binary_3x3(x, packed, p.stride, fp, &mut out);
+        }
+        None => im2col_3x3(x, w, p.stride, &mut out),
+    }
+    out
+}
+
+/// The f32 fast path: im2col, then [`gemm_blocked`], per batch item.
+fn im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, stride: usize, out: &mut Tensor<S>) {
+    let xs = x.shape();
+    let os = out.shape();
+    let kdim = xs.c * 9; // GEMM K: taps per output, (i, ky, kx) order.
+    let nc = os.h * os.w; // GEMM N: output pixels of one plane.
 
     // The packed column matrix is reused across batch items; batch-level
     // parallelism lives a layer up (Engine::infer_batch), so packing
@@ -233,30 +336,28 @@ pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParam
                         xs.w,
                         os.h,
                         os.w,
-                        p.stride,
+                        stride,
                         ky,
                         kx,
                     );
                 }
             }
         }
-
-        S::im2col_gemm(wsl, &cols, kdim, out.item_mut(n));
+        gemm_blocked(w.as_slice(), &cols, kdim, out.item_mut(n));
     }
-    out
 }
 
-/// The register-tiled GEMM behind [`Scalar::im2col_gemm`]'s default:
-/// `out = W · cols` for one batch item, with `W` the `(O × kdim)` weight
-/// matrix, `cols` the packed `(kdim × NC)` column matrix and `out` the
-/// item's `(O × NC)` output planes.
+/// The f32 fast path's register-tiled GEMM: `out = W · cols` for one
+/// batch item, with `W` the `(O × kdim)` weight matrix, `cols` the
+/// packed `(kdim × NC)` column matrix and `out` the item's `(O × NC)`
+/// output planes.
 ///
 /// Each `GEMM_MB × GEMM_NB` tile of outputs is computed by
 /// [`gemm_tile`], one `mac` chain per output in K order. A ragged last
 /// row block reads zero-padded weight panels and a ragged last pixel tile
 /// reads a zero-padded copy of its columns; the padded lanes' results
 /// are never written back.
-pub(crate) fn gemm_blocked<S: Scalar>(wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) {
+fn gemm_blocked<S: Scalar>(wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) {
     let nc = cols.len() / kdim;
     // K-major weight panels, one per block of GEMM_MB output channels:
     // `panels[blk·kdim + r][m]` is `W[blk·GEMM_MB + m][r]`.
@@ -314,18 +415,18 @@ fn gemm_tile<S: Scalar>(
     acc
 }
 
-/// Register-tile height (output channels) of [`gemm_offset_binary`].
+/// Register-tile height (output channels) of the offset-binary core.
 const TILE_MR: usize = 2;
-/// Register-tile width (output pixels) of [`gemm_offset_binary`].
+/// Register-tile width (output pixels) of the offset-binary core.
 const TILE_NR: usize = 4;
-/// Taps per block of the column transpose in [`gemm_offset_binary`].
-const TRANSPOSE_K: usize = 16;
+/// The offset-binary word of a flipped zero: the padding border's value.
+const FLIPPED_ZERO: u32 = 0x8000_0000;
 
-/// Offset-binary view of a 32-bit fixed-point value: flipping the sign
-/// bit reads the i32 `v` as the u32 `v + 2^31`.
+/// Offset-binary view of a sign-extended fixed-point value: flipping the
+/// sign bit reads the i32 `v` as the u32 `v + 2^31`.
 #[inline]
-fn offset_binary<const F: u32>(v: Fix<F>) -> u32 {
-    (v.to_bits() as u32) ^ 0x8000_0000
+fn offset_binary(v: i32) -> u32 {
+    (v as u32) ^ FLIPPED_ZERO
 }
 
 /// `Σ row` without wrapping: at most `K·(2^32 − 1)`.
@@ -333,54 +434,106 @@ fn row_sum(row: &[u32]) -> u64 {
     row.iter().map(|&v| u64::from(v)).sum()
 }
 
-/// The 32-bit fixed-point GEMM behind `Fix<F>`'s [`Scalar::im2col_gemm`]:
-/// same contract as [`gemm_blocked`], same output bits, computed in
-/// unsigned offset-binary arithmetic (the identity is in the module
-/// docs).
+/// The fixed-point fast path: per batch item, flip the input into a
+/// bordered copy, gather every window into its K-contiguous row, run the
+/// core, and apply the format's `acc_finish` to each sum.
+fn offset_binary_3x3<S: Scalar>(
+    x: &Tensor<S>,
+    w: &PackedRows,
+    stride: usize,
+    fp: FixedPoint<S>,
+    out: &mut Tensor<S>,
+) {
+    let xs = x.shape();
+    let os = out.shape();
+    let (ph, pw) = (xs.h + 2, xs.w + 2);
+    let kdim = xs.c * 9;
+    let nc = os.h * os.w;
+    // The border is written once; each item overwrites only the interior.
+    let mut xpad = vec![FLIPPED_ZERO; xs.c * ph * pw];
+    let mut xt = vec![0u32; nc.next_multiple_of(TILE_NR) * kdim];
+    let mut xsum = vec![0u64; nc.next_multiple_of(TILE_NR)];
+    let mut sums = vec![0i64; os.c * nc];
+    for n in 0..xs.n {
+        let planes = x.item(n).chunks_exact(xs.h * xs.w);
+        for (plane, src) in xpad.chunks_exact_mut(ph * pw).zip(planes) {
+            for (row, srow) in plane[pw..].chunks_exact_mut(pw).zip(src.chunks_exact(xs.w)) {
+                for (d, &v) in row[1..].iter_mut().zip(srow) {
+                    *d = offset_binary((fp.bits)(v));
+                }
+            }
+        }
+        pack_windows(
+            &xpad,
+            xs.c,
+            pw,
+            os.w,
+            stride,
+            &mut xt[..nc * kdim],
+            &mut xsum,
+        );
+        offset_binary_gemm(w, kdim, nc, &xt, &xsum, &mut sums);
+        for (o, &s) in out.item_mut(n).iter_mut().zip(&sums) {
+            *o = (fp.finish)(s);
+        }
+    }
+}
+
+/// Gather each output pixel's `C×3×3` window of the bordered, flipped
+/// input `xpad` (`c` planes, rows `pw` words wide) into its K-contiguous
+/// row of `xt`, in the weight rows' `(i, ky, kx)` order, and store the
+/// row's sum in `xsum`. The border puts every window in bounds, so each
+/// channel is three 3-word copies with no branch.
+fn pack_windows(
+    xpad: &[u32],
+    c: usize,
+    pw: usize,
+    ow: usize,
+    stride: usize,
+    xt: &mut [u32],
+    xsum: &mut [u64],
+) {
+    let plane = xpad.len() / c;
+    for (j, (row, sum)) in xt.chunks_exact_mut(c * 9).zip(xsum).enumerate() {
+        let at = (j / ow * pw + j % ow) * stride;
+        for (taps, src) in row.chunks_exact_mut(9).zip(xpad.chunks_exact(plane)) {
+            let win = &src[at..at + 2 * pw + 3];
+            for (ky, dst) in taps.chunks_exact_mut(3).enumerate() {
+                dst.copy_from_slice(&win[ky * pw..ky * pw + 3]);
+            }
+        }
+        *sum = row_sum(row);
+    }
+}
+
+/// The fixed-point GEMM core over raw words, compiled once for every
+/// width: `sums[m][j] = Σ_k w[m][k]·x[j][k]` as a wrapping i64, from the
+/// offset-binary weight rows `w` and the window rows `xt` (row sums
+/// `xsum`), both K-contiguous and padded to whole tiles. Each unsigned
+/// `Σ w'x'` is corrected to the signed sum once, by the identity in the
+/// module docs.
 ///
 /// Each `w'x'` is one unsigned 32×32→64 multiply, and the `TILE_MR ×
 /// TILE_NR` accumulators stay in registers over the whole K loop. The
-/// column sums `Σ x'` and row sums `Σ w'` are taken once per call, and
-/// the correction is applied once per output.
-pub(crate) fn gemm_offset_binary<const F: u32>(
-    w: &[Fix<F>],
-    cols: &[Fix<F>],
+/// output-channel blocks are split over [`crate::par`].
+fn offset_binary_gemm(
+    w: &PackedRows,
     kdim: usize,
-    oitem: &mut [Fix<F>],
+    nc: usize,
+    xt: &[u32],
+    xsum: &[u64],
+    sums: &mut [i64],
 ) {
-    let nc = cols.len() / kdim;
-    let m = oitem.len() / nc;
-    // Both operands K-contiguous: one row per output pixel (the
-    // transposed column matrix) and one per output channel, each padded
-    // with zero rows up to a whole tile. The transpose walks
-    // `TRANSPOSE_K` taps at a time so the rows it writes stay cached on
-    // wide maps.
-    let mut xt = vec![0u32; nc.next_multiple_of(TILE_NR) * kdim];
-    for (kb, taps) in cols.chunks(TRANSPOSE_K * nc).enumerate() {
-        for (j, xrow) in xt.chunks_exact_mut(kdim).take(nc).enumerate() {
-            let dst = &mut xrow[kb * TRANSPOSE_K..];
-            for (d, tap) in dst.iter_mut().zip(taps.chunks_exact(nc)) {
-                *d = offset_binary(tap[j]);
-            }
-        }
-    }
-    let xsum: Vec<u64> = xt.chunks_exact(kdim).map(row_sum).collect();
-    let mut wt = vec![0u32; m.next_multiple_of(TILE_MR) * kdim];
-    for (d, &v) in wt.iter_mut().zip(w) {
-        *d = offset_binary(v);
-    }
-    let wsum: Vec<u64> = wt.chunks_exact(kdim).map(row_sum).collect();
     let bias = (kdim as u64) << 62;
-    par::par_chunks_mut(oitem, TILE_MR * nc, kdim, |blk, chunk| {
+    par::par_chunks_mut(sums, TILE_MR * nc, kdim, |blk, chunk| {
         let m0 = blk * TILE_MR;
-        let wblock = &wt[m0 * kdim..(m0 + TILE_MR) * kdim];
+        let wblock = &w.rows[m0 * kdim..(m0 + TILE_MR) * kdim];
         for j0 in (0..nc).step_by(TILE_NR) {
             let acc = offset_binary_tile(wblock, &xt[j0 * kdim..(j0 + TILE_NR) * kdim], kdim);
             let nb = TILE_NR.min(nc - j0);
-            for ((arow, orow), &rsum) in acc.iter().zip(chunk.chunks_mut(nc)).zip(&wsum[m0..]) {
+            for ((arow, orow), &rsum) in acc.iter().zip(chunk.chunks_mut(nc)).zip(&w.sums[m0..]) {
                 for ((o, &a), &csum) in orow[j0..j0 + nb].iter_mut().zip(arow).zip(&xsum[j0..]) {
-                    let s = a.wrapping_sub((rsum + csum) << 31).wrapping_add(bias);
-                    *o = Fix::acc_finish(s as i64);
+                    *o = a.wrapping_sub((rsum + csum) << 31).wrapping_add(bias) as i64;
                 }
             }
         }
@@ -388,7 +541,7 @@ pub(crate) fn gemm_offset_binary<const F: u32>(
 }
 
 /// `Σ_k w'[m][k]·x'[j][k]` for the `TILE_MR` weight rows in `w` and the
-/// `TILE_NR` column rows in `x`, wrapping mod 2^64.
+/// `TILE_NR` window rows in `x`, wrapping mod 2^64.
 #[inline]
 fn offset_binary_tile(w: &[u32], x: &[u32], kdim: usize) -> [[u64; TILE_NR]; TILE_MR] {
     let w: [&[u32]; TILE_MR] = std::array::from_fn(|m| &w[m * kdim..(m + 1) * kdim]);
@@ -819,7 +972,8 @@ mod tests {
 
     #[test]
     fn zero_input_channels_give_the_zero_output() {
-        // f32 runs the default GEMM, Q20 the offset-binary one.
+        // f32 runs the K-ordered GEMM, the fixed-point formats the
+        // offset-binary core, per call and packed.
         fn check<S: Scalar>() {
             let p = Conv2dParams::same_3x3();
             let x = Tensor::<S>::zeros(Shape4::new(2, 0, 5, 4));
@@ -827,23 +981,49 @@ mod tests {
             let reference = conv2d_reference(&x, &w, p);
             assert_eq!(reference.shape(), Shape4::new(2, 3, 5, 4));
             assert_eq!(conv2d(&x, &w, p).as_slice(), reference.as_slice());
+            let packed = ConvWeights::new(w);
+            assert_eq!(
+                conv2d_packed(&x, &packed, p).as_slice(),
+                reference.as_slice()
+            );
         }
         check::<f32>();
         check::<Q20>();
+        check::<qfixed::Fix16<10>>();
     }
 
     #[test]
     fn force_reference_toggle_routes_dispatch() {
-        // Both routes are bit-identical, so this only checks the toggle
-        // round-trips and conv2d still works under it.
+        // Both routes are bit-identical, so this checks that the toggle
+        // round-trips and conv2d still works under it, then that the
+        // packed entry honours it too: with its packed rows zeroed, only
+        // the reference route still reads the raw weights.
         let x = seq_tensor(Shape4::new(1, 2, 5, 5), 0.3);
         let w = seq_tensor(Shape4::new(2, 2, 3, 3), 0.2);
-        let fast = conv2d(&x, &w, Conv2dParams::same_3x3());
+        let p = Conv2dParams::same_3x3();
+        let fast = conv2d(&x, &w, p);
+        let (xq, wq) = (
+            Tensor::<Q20>::from_f32_tensor(&x),
+            Tensor::<Q20>::from_f32_tensor(&w),
+        );
+        let mut stale = ConvWeights::new(wq.clone());
+        let rows = stale
+            .packed
+            .as_mut()
+            .expect("fixed point packs its weights");
+        rows.rows.fill(0);
         set_force_reference(true);
         assert!(force_reference());
-        let slow = conv2d(&x, &w, Conv2dParams::same_3x3());
+        let slow = conv2d(&x, &w, p);
+        let routed = conv2d_packed(&xq, &stale, p);
         set_force_reference(false);
         assert!(!force_reference());
         assert_eq!(fast.as_slice(), slow.as_slice());
+        let reference = conv2d_reference(&xq, &wq, p);
+        assert_eq!(routed.as_slice(), reference.as_slice());
+        assert_ne!(
+            conv2d_packed(&xq, &stale, p).as_slice(),
+            reference.as_slice()
+        );
     }
 }

@@ -60,23 +60,32 @@ pub trait Scalar:
     /// truncation point for fixed point).
     fn acc_finish(acc: Self::Acc) -> Self;
 
-    /// The GEMM of the im2col conv fast path: `out = W · cols` for one
-    /// batch item, with `W` the `(O × kdim)` weight matrix, `cols` the
-    /// packed `(kdim × NC)` column matrix and `out` the `(O × NC)` output
-    /// planes, split over output-channel blocks with [`crate::par`].
+    /// How the fixed-point conv core reads and finishes this format, or
+    /// `None` (the default) for a format whose accumulator is not an
+    /// integer sum.
     ///
-    /// Every output must equal `acc_finish` of the reference's `mac`
-    /// chain bit for bit. The default, a register-tiled GEMM, keeps each
-    /// chain's K order, which `f32` needs: its sums are order-dependent.
-    /// `Fix<F>` overrides it with an offset-binary kernel: its wide
-    /// accumulator is the exact sum mod 2^64, which no reordering
-    /// changes, and with `w' = w + 2^31`, `x' = x + 2^31`,
-    /// `Σ w·x ≡ Σ w'x' − 2^31·(Σ w' + Σ x') + K·2^62 (mod 2^64)` turns
-    /// every signed product into one unsigned 32×32→64 multiply (see
-    /// [`crate::conv`]).
-    fn im2col_gemm(w: &[Self], cols: &[Self], kdim: usize, out: &mut [Self]) {
-        crate::conv::gemm_blocked(w, cols, kdim, out)
-    }
+    /// `Some` routes the 3×3 fast conv through the one offset-binary core
+    /// in [`crate::conv`], which computes every output's wrapping i64
+    /// `Σ w·x` over operands sign-extended to 32 bits and hands it to
+    /// [`FixedPoint::finish`]. So a format may be `Some` only if its
+    /// `mac` chain computes exactly that sum: true of `Fix<F>` (the sum
+    /// mod 2^64 of exact i32×i32 products, which no reordering changes)
+    /// and of `Fix16<F>` (whose i16×i16 sums never leave i64, so the
+    /// mod-2^64 sum is the exact one its saturating `acc_finish`
+    /// expects). `f32` keeps the default: its sums depend on order, and
+    /// its conv runs a GEMM that keeps the reference's K order.
+    const FIXED_POINT: Option<FixedPoint<Self>> = None;
+}
+
+/// The fixed-point conv core's view of a [`Scalar`]: the two conversions
+/// between the format and the core's raw 32-bit words and i64 sums (see
+/// [`Scalar::FIXED_POINT`]).
+#[derive(Clone, Copy, Debug)]
+pub struct FixedPoint<S> {
+    /// The value's two's-complement bits, sign-extended to 32.
+    pub bits: fn(S) -> i32,
+    /// The format's `acc_finish` on the wrapping i64 `Σ w·x`.
+    pub finish: fn(i64) -> S,
 }
 
 impl Scalar for f32 {
@@ -221,9 +230,10 @@ impl<const F: u32> Scalar for Fix<F> {
         Fix::from_bits((acc >> F) as i32)
     }
 
-    fn im2col_gemm(w: &[Self], cols: &[Self], kdim: usize, out: &mut [Self]) {
-        crate::conv::gemm_offset_binary(w, cols, kdim, out)
-    }
+    const FIXED_POINT: Option<FixedPoint<Self>> = Some(FixedPoint {
+        bits: Fix::to_bits,
+        finish: Self::acc_finish,
+    });
 }
 
 impl<const F: u32> Scalar for Fix16<F> {
@@ -298,6 +308,11 @@ impl<const F: u32> Scalar for Fix16<F> {
         let v = acc >> F;
         Fix16::from_bits(v.clamp(i16::MIN as i64, i16::MAX as i64) as i16)
     }
+
+    const FIXED_POINT: Option<FixedPoint<Self>> = Some(FixedPoint {
+        bits: |v| i32::from(v.to_bits()),
+        finish: Self::acc_finish,
+    });
 }
 
 #[cfg(test)]

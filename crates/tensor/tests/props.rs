@@ -4,13 +4,13 @@
 use proptest::prelude::*;
 use qfixed::{Fix16, Q16, Q20};
 use tensor::conv::{
-    conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_im2col_3x3, conv2d_reference,
-    Conv2dParams,
+    conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_im2col_3x3, conv2d_packed,
+    conv2d_reference, Conv2dParams, ConvWeights,
 };
 use tensor::ops::{concat_time_channel, euler_step, relu, relu_backward, split_time_channel_grad};
 use tensor::pool::{global_avg_pool, shortcut_a};
 use tensor::softmax::{cross_entropy, softmax};
-use tensor::{Shape4, Tensor};
+use tensor::{Scalar, Shape4, Tensor};
 
 fn small_tensor(max_c: usize, max_hw: usize) -> impl Strategy<Value = Tensor<f32>> {
     (1usize..=2, 1usize..=max_c, 2usize..=max_hw, 2usize..=max_hw).prop_flat_map(|(n, c, h, w)| {
@@ -98,6 +98,22 @@ fn conv3x3_raw_q20_instance() -> impl Strategy<Value = (Tensor<Q20>, Tensor<Q20>
                 )
             })
         })
+}
+
+/// The packed entry and the reference on `x` and `w` quantized to `S`,
+/// the weights packed once ahead of the call as a quantized block holds
+/// them.
+fn packed_and_reference<S: Scalar>(
+    x: &Tensor<f32>,
+    w: &Tensor<f32>,
+    p: Conv2dParams,
+) -> (Tensor<S>, Tensor<S>) {
+    let (x, w) = (
+        Tensor::<S>::from_f32_tensor(x),
+        Tensor::<S>::from_f32_tensor(w),
+    );
+    let packed = ConvWeights::new(w.clone());
+    (conv2d_packed(&x, &packed, p), conv2d_reference(&x, &w, p))
 }
 
 fn weights_for(c: usize) -> impl Strategy<Value = Tensor<f32>> {
@@ -221,16 +237,42 @@ proptest! {
     }
 
     #[test]
+    fn packed_conv_matches_reference((x, w, p) in conv3x3_instance()) {
+        // Weights packed once, ahead of the call: both strides, batch
+        // items 1–2 and zero input channels, for every fixed-point width
+        // and for f32 (which packs nothing).
+        let (packed, reference) = packed_and_reference::<Q20>(&x, &w, p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
+        let (packed, reference) = packed_and_reference::<Q16>(&x, &w, p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
+        let (packed, reference) = packed_and_reference::<Fix16<10>>(&x, &w, p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
+        let (packed, reference) = packed_and_reference::<f32>(&x, &w, p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
+    }
+
+    #[test]
     fn fast_conv_matches_reference_full_range_bits((x, w, p) in conv3x3_raw_q20_instance()) {
         // Values far outside [-2, 2] wrap the i64 accumulator; the
         // offset-binary kernel must wrap to the same bits, at Q20 and at
-        // Q16 (the same bit patterns read with 16 fraction bits).
+        // Q16 (the same bit patterns read with 16 fraction bits), with
+        // weights packed per call or once ahead of it. `Fix16<10>` reads
+        // the high half of each pattern (`MIN`, `MAX` and `-1` stay
+        // extreme); its sums never wrap, but saturate at write-back.
         let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
+        let packed = conv2d_packed(&x, &ConvWeights::new(w.clone()), p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
         let q16 = |t: &Tensor<Q20>| t.map(|v| Q16::from_bits(v.to_bits()));
-        let (x, w) = (q16(&x), q16(&w));
+        let (x16, w16) = (q16(&x), q16(&w));
+        let (fast, reference) = (conv2d_im2col_3x3(&x16, &w16, p), conv2d_reference(&x16, &w16, p));
+        prop_assert_eq!(fast.as_slice(), reference.as_slice());
+        let fix16 = |t: &Tensor<Q20>| t.map(|v| Fix16::<10>::from_bits((v.to_bits() >> 16) as i16));
+        let (x, w) = (fix16(&x), fix16(&w));
         let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
+        let packed = conv2d_packed(&x, &ConvWeights::new(w.clone()), p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
     }
 
     #[test]

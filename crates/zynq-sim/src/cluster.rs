@@ -411,12 +411,7 @@ pub struct ClusterPlan {
 pub fn plan_cluster(spec: &NetSpec, req: &ClusterRequest) -> Result<ClusterPlan, EngineError> {
     req.precision.validate()?;
     req.cluster.validate()?;
-    if req.pl.parallelism == 0 {
-        return Err(EngineError::InvalidHardware {
-            board: None,
-            reason: "PL parallelism is 0: a conv_x0 circuit has no multiply-add unit".to_string(),
-        });
-    }
+    req.pl.validate()?;
 
     // 1. Resolve the overall placement at cluster capacity, splitting
     //    it under the request's partitioner and replication policy —

@@ -32,6 +32,13 @@
 //! the same wide-accumulate / truncate-once semantics as the DSP48
 //! cascade, so the simulator's outputs are bit-exact with a Q20 software
 //! reference by construction (tested in `tests/`).
+//!
+//! Like the circuit, which loads its quantized weights into BRAM once
+//! and then streams feature maps past them, [`OdeBlockAccel::new`] packs
+//! both convs' weights once ([`tensor::conv::ConvWeights`]: offset-binary
+//! rows and their row sums). Every Euler step's conv then reads that
+//! packing and packs only its input; the 16-bit formats run the same
+//! fixed-point core.
 
 use crate::board::Board;
 #[cfg(test)]

@@ -253,6 +253,9 @@ impl Default for PlanRequest {
 /// the same configuration.
 pub fn plan_deployment(spec: &NetSpec, req: &PlanRequest) -> Result<DeploymentPlan, EngineError> {
     req.precision.validate()?;
+    // Zero parallelism fits no circuit, but it is bad hardware, not a
+    // bad placement: report it as `plan_cluster` does.
+    req.pl.validate()?;
 
     // 1. A fixed placement must exist in the architecture and fit the
     //    board's fabric at the requested per-stage word widths.

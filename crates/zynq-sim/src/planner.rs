@@ -101,13 +101,16 @@ impl OffloadTarget {
     /// scaled by the operand width) — so a reduced-width shard is not
     /// gated by the conservative 32-bit characterization.
     ///
-    /// A parallelism exceeding a target layer's output channel count
-    /// cannot be instantiated (there is no ⌈O/n⌉-th channel group to
-    /// feed the extra units), so `fits` reports such placements as
-    /// infeasible — which is what the planner and the engine builder
-    /// consult. Note the guard lives here, at the placement level: the
-    /// low-level per-circuit model ([`crate::resources::ode_block_resources`]) keeps
-    /// `parallelism ≤ channels` as an asserted precondition.
+    /// A circuit with no multiply–add unit, or with more units than a
+    /// target layer has output channels (there is no ⌈O/n⌉-th channel
+    /// group to feed the extra units), cannot be instantiated, so `fits`
+    /// reports every placement with a circuit as infeasible at such a
+    /// parallelism; [`OffloadTarget::None`] still fits. This is what the
+    /// planner and the engine builder consult. Note the guard lives
+    /// here, at the placement level: the low-level per-circuit models
+    /// ([`crate::resources::ode_block_resources`],
+    /// [`crate::datapath::conv_cycles`]) keep `1 ≤ parallelism ≤
+    /// channels` as an asserted precondition.
     ///
     /// # Panics
     ///
@@ -117,7 +120,7 @@ impl OffloadTarget {
     pub fn fits(&self, board: &Board, parallelism: usize, formats: &StageFormats) -> bool {
         for &layer in self.layers() {
             let (channels, _) = layer.geometry();
-            if parallelism > channels {
+            if parallelism == 0 || parallelism > channels {
                 return false;
             }
         }
@@ -272,6 +275,28 @@ mod tests {
         let a = ode_block_resources(LayerName::Layer3_2, 16);
         let b = ode_block_resources(LayerName::Layer1, 1);
         assert!(a.bram18 + b.bram18 > 2 * PYNQ_Z2.bram36);
+    }
+
+    #[test]
+    fn zero_parallelism_plans_no_circuit() {
+        // No multiply–add unit means no circuit: only the software
+        // placement fits, and both planners fall back to it instead of
+        // pricing a circuit at n = 0.
+        assert_eq!(
+            feasible_targets(&PYNQ_Z2, 0, &q20()),
+            vec![OffloadTarget::None]
+        );
+        let pl = PlModel { parallelism: 0 };
+        for v in [Variant::ROdeNet3, Variant::OdeNet, Variant::ROdeNet12] {
+            let spec = NetSpec::new(v, 56);
+            for formats in [q20(), q16()] {
+                let ps = PsModel::Calibrated;
+                let plan = plan_offload(&spec, &PYNQ_Z2, &ps, &pl, &formats);
+                assert_eq!(plan, OffloadTarget::None, "{v}");
+                let plan = plan_offload_extended(&spec, &PYNQ_Z2, &ps, &pl, &formats);
+                assert_eq!(plan, OffloadTarget::None, "{v} extended");
+            }
+        }
     }
 
     #[test]

@@ -197,6 +197,19 @@ impl Default for PlModel {
 }
 
 impl PlModel {
+    /// Reject a circuit no timing model can price: conv_x0 has no
+    /// multiply–add unit.
+    pub(crate) fn validate(&self) -> Result<(), crate::engine::EngineError> {
+        if self.parallelism == 0 {
+            return Err(crate::engine::EngineError::InvalidHardware {
+                board: None,
+                reason: "PL parallelism is 0: a conv_x0 circuit has no multiply-add unit"
+                    .to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// Seconds for an offloaded stage of `execs` block runs (including
     /// the DMA round trip) at the configuration's closed clock and a PL
     /// word width of `bytes_per_value`: the compute cycles are

@@ -1,4 +1,6 @@
-//! Kernel oracle at the root: the im2col fast conv must equal the scalar
+//! Kernel oracle at the root: the fast conv, with its weights packed per
+//! call (`conv2d_im2col_3x3`) and once ahead of it (`conv2d_packed`, as
+//! the quantized blocks hold them), must equal the scalar
 //! `conv2d_reference` bit for bit on every rODENet conv geometry, for the
 //! PS's f32, the PL's Q20, the reduced-range Q16 and the 16-bit
 //! `Fix16<10>`.
@@ -9,7 +11,7 @@
 //! a proptest: the randomized oracles live in `crates/tensor/tests`.
 
 use qfixed::{Fix16, Q16, Q20};
-use tensor::conv::{conv2d_im2col_3x3, conv2d_reference, Conv2dParams};
+use tensor::conv::{conv2d_im2col_3x3, conv2d_packed, conv2d_reference, Conv2dParams, ConvWeights};
 use tensor::{Scalar, Shape4, Tensor};
 
 /// `(name, in channels, out channels, extent)` of every 3×3 conv in
@@ -40,6 +42,11 @@ fn assert_fast_is_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dPa
     assert!(
         fast.as_slice() == reference.as_slice(),
         "{what}: fast conv differs from conv2d_reference"
+    );
+    let packed = conv2d_packed(x, &ConvWeights::new(w.clone()), p);
+    assert!(
+        packed.as_slice() == reference.as_slice(),
+        "{what}: packed conv differs from conv2d_reference"
     );
 }
 
