@@ -16,6 +16,7 @@
 use crate::arch::LayerName;
 use crate::init::he_conv;
 use crate::params::layer_channels;
+use odesolve::{ode_solve, ClosureField, SolveOpts};
 use rand::Rng;
 use tensor::bn::{bn_apply, bn_backward, bn_onthefly, bn_train_forward, BnCache, DEFAULT_EPS};
 use tensor::conv::{
@@ -340,14 +341,8 @@ impl ResBlock {
     /// ODE forward (Equation 5): M Euler steps over `t ∈ [0, 1]`.
     pub fn ode_forward(&self, z: &Tensor<f32>, steps: usize, mode: BnMode) -> Tensor<f32> {
         assert!(self.time_aug, "ode_forward requires an ODE block");
-        let h = 1.0 / steps as f32;
-        let mut z = z.clone();
-        for i in 0..steps {
-            let t = i as f32 * h;
-            let f = self.f_eval(&z, t, mode);
-            z = z.zip_map(&f, |a, b| a + h * b);
-        }
-        z
+        let field = ClosureField::new(|z: &Tensor<f32>, t: f32| self.f_eval(z, t, mode));
+        ode_solve(&field, z, SolveOpts::euler_unit(steps))
     }
 
     /// Zero every gradient accumulator.
@@ -466,6 +461,7 @@ impl<S: Scalar> QuantBlock<S> {
         let h = S::from_f32(1.0 / steps as f32);
         let mut z = z.clone();
         for i in 0..steps {
+            // Own loop: `S::from_f32(i / steps)` rounds unlike `ode_solve`'s `h·i`.
             let t = S::from_f32(i as f32 / steps as f32);
             let f = self.f_eval(&z, t);
             z = z.zip_map(&f, |a, b| a.add(h.mul(b)));
@@ -557,6 +553,20 @@ mod tests {
         let f = block.f_eval(&x, 0.0, BnMode::OnTheFly);
         let manual = x.zip_map(&f, |a, b| a + b);
         assert!(y.max_abs_diff(&manual) < 1e-6);
+        // Any step count: bit for bit the explicit Euler loop, t = i·h.
+        let bits = |t: &Tensor<f32>| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for steps in [1usize, 2, 3, 7, 24] {
+            for mode in [BnMode::OnTheFly, BnMode::Running] {
+                let h = 1.0 / steps as f32;
+                let mut z = x.clone();
+                for i in 0..steps {
+                    let f = block.f_eval(&z, i as f32 * h, mode);
+                    z = z.zip_map(&f, |a, b| a + h * b);
+                }
+                let y = block.ode_forward(&x, steps, mode);
+                assert_eq!(bits(&y), bits(&z), "{steps} steps, {mode:?}");
+            }
+        }
     }
 
     #[test]

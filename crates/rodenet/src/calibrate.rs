@@ -20,6 +20,8 @@
 use crate::arch::LayerName;
 use crate::block::{BnMode, ResBlock};
 use crate::model::Network;
+use odesolve::{ode_solve, ClosureField, SolveOpts};
+use std::cell::RefCell;
 use tensor::Tensor;
 
 /// The layers a PL circuit can host (shape-preserving stages), in
@@ -49,16 +51,16 @@ impl StageRange {
     pub fn max_abs(&self) -> f32 {
         self.max_abs_activation.max(self.max_abs_weight)
     }
-}
 
-/// Fold a tensor into a running max-|value| envelope.
-fn fold_max(acc: &mut f32, count: &mut usize, t: &Tensor<f32>) {
-    for &v in t.as_slice() {
-        if v.abs() > *acc {
-            *acc = v.abs();
+    /// Fold a tensor into the running max-|value| envelope.
+    fn fold(&mut self, t: &Tensor<f32>) {
+        for &v in t.as_slice() {
+            if v.abs() > self.max_abs_activation {
+                self.max_abs_activation = v.abs();
+            }
         }
+        self.samples += t.len();
     }
-    *count += t.len();
 }
 
 fn weight_max(block: &ResBlock) -> f32 {
@@ -81,16 +83,18 @@ fn weight_max(block: &ResBlock) -> f32 {
 
 /// Measure the per-stage activation envelope of `net` over `sample`.
 ///
-/// Runs the float network forward on every sample input (conv1 first,
-/// stages in network order) exactly as the deployed hybrid walk does,
-/// and for each **offloadable single-instance stage** records the max
-/// |value| of the stage input, every Euler step's state, and every
-/// `f(z, t)` evaluation — the values the PL number system must
-/// represent while the feature map is BRAM-resident. Non-offloadable
-/// stages (downsample blocks, stacked ResNet stages) only propagate the
-/// state. Returns one [`StageRange`] per offloadable stage present in
-/// the architecture, in network order; an empty sample yields an empty
-/// report (callers decide whether that is an error).
+/// Runs the float network forward on every sample input through
+/// [`Network::walk`] — conv1 with on-the-fly statistics, stages in
+/// network order, the chain the deployed engine walks — and for each
+/// **offloadable single-instance stage** records the max |value| of the
+/// stage input, every Euler step's state, and every `f(z, t)`
+/// evaluation — the values the PL number system must represent while
+/// the feature map is BRAM-resident. Every other stage (downsample
+/// blocks, stacked ResNet stages) only propagates the state through
+/// [`crate::model::Stage::forward`]. Returns one [`StageRange`] per
+/// offloadable stage present in the architecture, in network order; an
+/// empty sample yields an empty report (callers decide whether that is
+/// an error).
 ///
 /// `bn` is the **PS-side** statistics mode and applies only to the
 /// non-measured stages' propagation. A measured stage is always
@@ -116,43 +120,29 @@ pub fn stage_ranges(net: &Network, sample: &[Tensor<f32>], bn: BnMode) -> Vec<St
         .collect();
 
     for x in sample {
-        let mut z = net.pre_forward(x);
-        for stage in &net.stages {
-            if stage.blocks.is_empty() {
-                continue;
-            }
-            let record = ranges.iter_mut().find(|r| r.layer == stage.name);
-            if let Some(r) = record {
-                let block = &stage.blocks[0];
-                fold_max(&mut r.max_abs_activation, &mut r.samples, &z);
-                if stage.plan.is_ode {
-                    // Re-run the Euler loop of `ode_forward`, recording
-                    // each f evaluation and intermediate state — with
-                    // on-the-fly statistics, as the circuit computes
-                    // them (see the doc comment above).
-                    let steps = stage.plan.execs;
-                    let h = 1.0 / steps as f32;
-                    for i in 0..steps {
-                        let t = i as f32 * h;
-                        let f = block.f_eval(&z, t, BnMode::OnTheFly);
-                        fold_max(&mut r.max_abs_activation, &mut r.samples, &f);
-                        z = z.zip_map(&f, |a, b| a + h * b);
-                        fold_max(&mut r.max_abs_activation, &mut r.samples, &z);
-                    }
-                } else {
-                    z = block.residual_forward(&z, BnMode::OnTheFly);
-                    fold_max(&mut r.max_abs_activation, &mut r.samples, &z);
-                }
+        net.walk(x, BnMode::OnTheFly, |stage, z| {
+            let Some(r) = ranges.iter_mut().find(|r| r.layer == stage.name) else {
+                return stage.forward(z, bn);
+            };
+            let out = if stage.plan.is_ode {
+                // The Euler solve of `ode_forward`, recording each
+                // state it steps from and each f evaluation.
+                let r = RefCell::new(&mut *r);
+                let field = ClosureField::new(|z: &Tensor<f32>, t: f32| {
+                    let f = stage.blocks[0].f_eval(z, t, BnMode::OnTheFly);
+                    let mut r = r.borrow_mut();
+                    r.fold(z);
+                    r.fold(&f);
+                    f
+                });
+                ode_solve(&field, z, SolveOpts::euler_unit(stage.plan.execs))
             } else {
-                for block in &stage.blocks {
-                    z = if stage.plan.is_ode {
-                        block.ode_forward(&z, stage.plan.execs, bn)
-                    } else {
-                        block.residual_forward(&z, bn)
-                    };
-                }
-            }
-        }
+                r.fold(z);
+                stage.forward(z, BnMode::OnTheFly)
+            };
+            r.fold(&out);
+            out
+        });
     }
     ranges
 }

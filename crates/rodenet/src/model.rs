@@ -181,6 +181,20 @@ pub struct Stage {
     pub blocks: Vec<ResBlock>,
 }
 
+impl Stage {
+    /// Run the stage's blocks in order on `z`: each ODE instance takes
+    /// its `execs` Euler steps, each plain instance one residual step.
+    pub fn forward(&self, z: &Tensor<f32>, mode: BnMode) -> Tensor<f32> {
+        self.blocks.iter().fold(z.clone(), |z, block| {
+            if self.plan.is_ode {
+                block.ode_forward(&z, self.plan.execs, mode)
+            } else {
+                block.residual_forward(&z, mode)
+            }
+        })
+    }
+}
+
 /// Per-block training trace.
 #[allow(clippy::large_enum_variant)] // Plain's cache is the common case
 enum BlockTrace {
@@ -278,16 +292,31 @@ impl Network {
 
     /// Inference forward pass to logits.
     pub fn forward(&self, x: &Tensor<f32>, mode: BnMode) -> Tensor<f32> {
-        let mut z = self.pre.forward(x, mode);
-        for stage in &self.stages {
-            for block in &stage.blocks {
-                z = if stage.plan.is_ode {
-                    block.ode_forward(&z, stage.plan.execs, mode)
-                } else {
-                    block.residual_forward(&z, mode)
-                };
-            }
-        }
+        self.walk(x, mode, |stage, z| stage.forward(z, mode))
+    }
+
+    /// The inference chain every executor shares: conv1 with `pre_bn`
+    /// statistics, then `stage` applied to each residual stage the
+    /// variant keeps (stages without blocks are skipped), in network
+    /// order, then fc. `stage` decides where and in which number system
+    /// each stage runs; [`Network::forward`] runs them all in `f32`.
+    ///
+    /// The `zynq-sim` engine backends and the calibration pass walk
+    /// with `pre_bn = `[`BnMode::OnTheFly`]: the deployed conv1
+    /// computes its statistics on the device, whatever mode the
+    /// PS-resident stages use. A `Running` engine therefore differs
+    /// from `forward(x, BnMode::Running)` at conv1.
+    pub fn walk(
+        &self,
+        x: &Tensor<f32>,
+        pre_bn: BnMode,
+        mut stage: impl FnMut(&Stage, &Tensor<f32>) -> Tensor<f32>,
+    ) -> Tensor<f32> {
+        let z = self
+            .stages
+            .iter()
+            .filter(|s| !s.blocks.is_empty())
+            .fold(self.pre.forward(x, pre_bn), |z, s| stage(s, &z));
         self.fc.forward(&z)
     }
 
@@ -488,16 +517,7 @@ impl Network {
         z: &Tensor<f32>,
         mode: BnMode,
     ) -> Option<Tensor<f32>> {
-        let stage = self.stage(name)?;
-        let mut z = z.clone();
-        for block in &stage.blocks {
-            z = if stage.plan.is_ode {
-                block.ode_forward(&z, stage.plan.execs, mode)
-            } else {
-                block.residual_forward(&z, mode)
-            };
-        }
-        Some(z)
+        Some(self.stage(name)?.forward(z, mode))
     }
 
     /// Quantize the whole network into scalar type `S` — conv1, every

@@ -56,6 +56,20 @@ pub struct QuantStage<S: Scalar> {
     pub blocks: Vec<QuantBlock<S>>,
 }
 
+impl<S: Scalar> QuantStage<S> {
+    /// Run the stage's blocks in order on `z` — the quantized
+    /// counterpart of [`crate::model::Stage::forward`].
+    pub fn forward(&self, z: &Tensor<S>) -> Tensor<S> {
+        self.blocks.iter().fold(z.clone(), |z, block| {
+            if self.plan.is_ode {
+                block.ode_forward(&z, self.plan.execs)
+            } else {
+                block.residual_forward(&z)
+            }
+        })
+    }
+}
+
 /// The classification head in the quantized number system.
 #[derive(Clone, Debug)]
 pub struct QuantFc<S: Scalar> {
@@ -91,24 +105,12 @@ pub struct QuantNetwork<S: Scalar> {
 impl<S: Scalar> QuantNetwork<S> {
     /// Full quantized inference to logits.
     pub fn forward(&self, x: &Tensor<S>) -> Tensor<S> {
-        let mut z = self.pre.forward(x);
-        for stage in &self.stages {
-            for block in &stage.blocks {
-                z = if stage.plan.is_ode {
-                    block.ode_forward(&z, stage.plan.execs)
-                } else {
-                    block.residual_forward(&z)
-                };
-            }
-        }
-        self.fc.forward(&z)
-    }
-
-    /// A stage by layer name (`None` when the variant removed it).
-    pub fn stage(&self, name: LayerName) -> Option<&QuantStage<S>> {
-        self.stages
+        let z = self
+            .stages
             .iter()
-            .find(|s| s.name == name && !s.blocks.is_empty())
+            .filter(|s| !s.blocks.is_empty())
+            .fold(self.pre.forward(x), |z, stage| stage.forward(&z));
+        self.fc.forward(&z)
     }
 
     /// Storage bytes per value in this network's number system (4 for

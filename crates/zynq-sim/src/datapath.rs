@@ -148,18 +148,6 @@ impl<S: Scalar> OdeBlockAccel<S> {
         }
     }
 
-    /// Execute the block once (one Euler step evaluation + update is done
-    /// by the caller); returns `f(z, t)` with cycle accounting.
-    pub fn run_f(&self, z: &Tensor<S>, t: S) -> AccelRun<S> {
-        let output = self.block.f_eval(z, t);
-        let cycles = block_exec_cycles(self.block.layer, self.parallelism);
-        AccelRun {
-            output,
-            cycles,
-            seconds: cycles as f64 / self.clock_hz as f64,
-        }
-    }
-
     /// Execute the stage as the hardware does: DMA in, `execs` Euler
     /// steps with the feature map resident in BRAM, DMA out.
     pub fn run_stage(&self, z: &Tensor<S>, execs: usize) -> AccelRun<S> {

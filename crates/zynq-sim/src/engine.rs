@@ -46,13 +46,16 @@
 //! Serving, load sweeps, failover and the pipelined batch schedule all
 //! read that plan. Execution is dispatched through the [`Backend`]
 //! trait, and the built-in backends are one PS+PL walk plus one
-//! fully-fixed-point path:
+//! fully-fixed-point path. Both compute their per-image timing once,
+//! at build, from the plan (the cost model is input-independent), so
+//! `infer` runs numerics only:
 //!
-//! * the **PS+PL walk** runs offloaded stages on the bit-exact
-//!   fixed-point ODEBlock circuit of the board carrying them and
-//!   everything else in `f32` on the head board's PS. It reports under
-//!   three names: `"ps-software"` ([`BackendKind::PsSoftware`]: nothing
-//!   offloaded, the "w/o PL" rows of Table 5), `"hybrid"`
+//! * the **PS+PL walk** ([`Network::walk`]) runs offloaded stages on
+//!   the bit-exact fixed-point ODEBlock circuit of the board carrying
+//!   them and everything else in `f32` on the head board's PS. It
+//!   reports under three names: `"ps-software"`
+//!   ([`BackendKind::PsSoftware`]: nothing offloaded, the "w/o PL"
+//!   rows of Table 5), `"hybrid"`
 //!   ([`BackendKind::Hybrid`]: the paper's deployment, bit-identical to
 //!   the original pre-engine hybrid loop at the default Q20, pinned in
 //!   `tests/engine_equivalence.rs`), and `"cluster"` (a placement
@@ -74,8 +77,8 @@
 //! [`EngineBuilder::bn_mode`] selects the statistics source for the
 //! **PS-resident residual stages**, mirroring the deployed PYNQ flow
 //! end to end: conv1 statistics are computed on-device (on-the-fly)
-//! and the PL circuit always computes statistics per feature map —
-//! that is what its divider/square-root units exist for.
+//! in every backend and the PL circuit always computes statistics per
+//! feature map — that is what its divider/square-root units exist for.
 
 use crate::board::Board;
 #[cfg(test)]
@@ -616,14 +619,12 @@ macro_rules! any_accel {
 
             /// Run the stage at the f32 DMA boundary: quantize the
             /// feature map into the stage's format, execute on the
-            /// circuit, dequantize on the way out. Returns the output
-            /// map and the modelled circuit seconds (incl. DMA).
-            fn run_stage(&self, z: &Tensor<f32>, execs: usize) -> (Tensor<f32>, f64) {
+            /// circuit, dequantize on the way out.
+            fn run_stage(&self, z: &Tensor<f32>, execs: usize) -> Tensor<f32> {
                 match self {
                     $(AnyAccel::$variant(accel) => {
                         let zq: Tensor<$ty> = Tensor::from_f32_tensor(z);
-                        let run = accel.run_stage(&zq, execs);
-                        (run.output.to_f32(), run.seconds)
+                        accel.run_stage(&zq, execs).output.to_f32()
                     })+
                 }
             }
@@ -657,14 +658,12 @@ any_accel!(
 );
 
 /// One pre-built PL stage: the simulated circuit holding the quantized
-/// block in the stage's own word format, how often the stage executes
-/// per inference, and the stage's DMA word width.
+/// block in the stage's own word format, and how often the stage
+/// executes per inference.
 struct PlStage {
     layer: LayerName,
     accel: AnyAccel,
     execs: usize,
-    /// Storage bytes per value of this stage's format (its DMA width).
-    bytes: usize,
 }
 
 /// Pre-quantize — once — each offloaded stage of `layers` into its
@@ -716,68 +715,77 @@ fn build_pl_stages(
                 } else {
                     1
                 },
-                bytes: q.bytes(),
             })
         })
         .collect()
 }
 
-/// The PS+PL walk behind the software, hybrid, and cluster backends:
-/// stages in `pl_stages` run on their pre-built circuits — each in its
-/// *own* word format, quantized at its DMA boundary — everything else
-/// runs as `f32` software with `bn` statistics. With a
-/// uniform Q20 table this mirrors the execution order of the original
-/// pre-engine hybrid loop exactly, so logits and timing are
-/// bit-identical to the legacy path.
-fn hybrid_walk(
-    net: &Network,
-    x: &Tensor<f32>,
-    pl_stages: &[PlStage],
-    bn: BnMode,
-    ps: &PsModel,
-    board: &Board,
-) -> (Tensor<f32>, f64, f64, u64) {
-    let mut ps_cycles: u64 = ps.block_exec_cycles(LayerName::Conv1, false)
-        + ps.block_exec_cycles(LayerName::Fc, false)
-        + ps.runtime_overhead_cycles();
-    let mut pl_seconds = 0.0f64;
-    let mut dma_words = 0u64;
-
-    let mut z = net.pre_forward(x);
-    for stage in &net.stages {
-        if stage.blocks.is_empty() {
-            continue;
-        }
-        let on_pl = pl_stages.iter().find(|p| p.layer == stage.name);
-        for block in &stage.blocks {
-            if let Some(pl_stage) = on_pl {
-                let (out, seconds) = pl_stage.accel.run_stage(&z, pl_stage.execs);
-                dma_words += crate::datapath::dma_words(stage.name, pl_stage.bytes);
-                pl_seconds += seconds;
-                z = out;
-            } else {
-                z = if stage.plan.is_ode {
-                    block.ode_forward(&z, stage.plan.execs, bn)
-                } else {
-                    block.residual_forward(&z, bn)
-                };
-                ps_cycles +=
-                    stage.plan.execs as u64 * ps.block_exec_cycles(stage.name, stage.plan.is_ode);
-            }
-        }
-    }
-    let logits = net.fc_forward(&z);
-    (logits, board.ps_seconds(ps_cycles), pl_seconds, dma_words)
+/// The per-image modelled timing of a built-in backend. The cost model
+/// is input-independent, so each backend computes it once, at build,
+/// from its plan, and `infer` runs numerics only.
+#[derive(Clone, Copy, Debug)]
+struct ImageTiming {
+    ps_seconds: f64,
+    pl_seconds: f64,
+    dma_words: u64,
 }
 
-/// The PS+PL walk backend, for one board or a rack: the PS stages run
-/// on the head board, each offloaded stage on the PL fabric of the
-/// board carrying it, feature maps crossing the modelled interconnect
-/// between boards. Sharding changes *where* and *when* stages run,
-/// never the Q-format arithmetic, so logits are bit-identical to the
-/// one-board walk with the same overall placement. `infer` reports
-/// per-image additive timing, with interconnect hand-offs (zero on one
-/// board) folded into `pl_seconds`.
+impl ImageTiming {
+    /// One image through `plan`: the PS cycles of every stage left on
+    /// the head board, summed as integers and converted once; the PL
+    /// seconds of the offloaded stages (DMA included) in network order,
+    /// plus the interconnect hand-offs (zero on one board); and the
+    /// on-board DMA words.
+    fn of(plan: &ClusterPlan) -> Self {
+        let (ps, spec) = (plan.ps_model(), plan.spec());
+        let offloaded_cycles: u64 = plan
+            .target()
+            .layers()
+            .iter()
+            .map(|&layer| {
+                let stage = spec.plan(layer);
+                ps.stage_cycles(layer, stage.is_ode, stage.total_execs())
+            })
+            .sum();
+        ImageTiming {
+            ps_seconds: plan
+                .cluster()
+                .head()
+                .ps_seconds(ps.spec_cycles(spec) - offloaded_cycles),
+            pl_seconds: plan.pl_seconds() + plan.transfer_seconds(),
+            dma_words: plan.dma_words(),
+        }
+    }
+
+    /// The report of one run whose numerics produced `logits`.
+    fn report(
+        &self,
+        logits: Tensor<f32>,
+        offloaded: &[LayerName],
+        backend: &'static str,
+    ) -> RunReport {
+        RunReport {
+            images: logits.shape().n,
+            logits,
+            ps_seconds: self.ps_seconds,
+            pl_seconds: self.pl_seconds,
+            dma_words: self.dma_words,
+            offloaded: offloaded.to_vec(),
+            backend,
+        }
+    }
+}
+
+/// The PS+PL walk backend, for one board or a rack: offloaded stages
+/// run on the pre-built circuit of the board carrying them — each in
+/// its *own* word format, quantized at its DMA boundary — and
+/// everything else in `f32` on the head board's PS with `bn`
+/// statistics. Sharding changes *where* and *when* stages run, never
+/// the Q-format arithmetic, so logits are bit-identical to the
+/// one-board walk with the same overall placement; with a uniform Q20
+/// table they are bit-identical to the original pre-engine hybrid loop.
+/// Timing is per image and additive, with interconnect hand-offs (zero
+/// on one board) folded into `pl_seconds`.
 struct ClusterBackend<'n> {
     /// `"ps-software"`, `"hybrid"` or `"cluster"`.
     name: &'static str,
@@ -785,9 +793,7 @@ struct ClusterBackend<'n> {
     pl_stages: Vec<PlStage>,
     offloaded: Vec<LayerName>,
     bn: BnMode,
-    ps: PsModel,
-    head: Board,
-    transfer_seconds: f64,
+    timing: ImageTiming,
 }
 
 impl Backend for ClusterBackend<'_> {
@@ -800,39 +806,32 @@ impl Backend for ClusterBackend<'_> {
     }
 
     fn infer(&self, x: &Tensor<f32>) -> Result<RunReport, EngineError> {
-        let (logits, ps_seconds, pl_seconds, dma_words) =
-            hybrid_walk(self.net, x, &self.pl_stages, self.bn, &self.ps, &self.head);
-        Ok(RunReport {
-            logits,
-            images: x.shape().n,
-            ps_seconds,
-            pl_seconds: pl_seconds + self.transfer_seconds,
-            dma_words,
-            offloaded: self.offloaded.clone(),
-            backend: self.name,
-        })
+        let logits = self.net.walk(x, BnMode::OnTheFly, |stage, z| {
+            match self.pl_stages.iter().find(|p| p.layer == stage.name) {
+                Some(pl) => pl.accel.run_stage(z, pl.execs),
+                None => stage.forward(z, self.bn),
+            }
+        });
+        Ok(self.timing.report(logits, &self.offloaded, self.name))
     }
 }
 
 /// Fully-fixed-point backend: the whole network executes in the PL
-/// number system `S` via [`QuantNetwork`]; the offloaded stages
-/// additionally carry circuit timing, the rest PS timing (a
-/// fully-quantized PS runtime would run the same integer ops the float
-/// one does, so the calibrated cost model still applies).
+/// number system `S` via [`QuantNetwork`]; the offloaded stages carry
+/// circuit timing, the rest PS timing (a fully-quantized PS runtime
+/// would run the same integer ops the float one does, so the calibrated
+/// cost model still applies).
 ///
 /// The quantized network already *is* the circuit's datapath
 /// ([`OdeBlockAccel`] wraps the same [`rodenet::QuantBlock`] forward),
 /// so offloaded stages execute straight out of `qnet` — one
-/// quantization at build, no duplicate weight copies — with their
-/// cycle timing taken from [`PlModel::stage_seconds`], which is the
-/// identical `stage_cycles / closed-clock` arithmetic the accelerator
-/// reports.
+/// quantization at build, no duplicate weight copies. Placement decides
+/// only the timing, taken from the plan at build like the walk
+/// backend's.
 struct PlBitExactBackend<S: Scalar> {
     qnet: QuantNetwork<S>,
     offloaded: Vec<LayerName>,
-    ps: PsModel,
-    pl: PlModel,
-    board: Board,
+    timing: ImageTiming,
 }
 
 impl<S: Scalar> Backend for PlBitExactBackend<S> {
@@ -845,48 +844,8 @@ impl<S: Scalar> Backend for PlBitExactBackend<S> {
     }
 
     fn infer(&self, x: &Tensor<f32>) -> Result<RunReport, EngineError> {
-        let mut ps_cycles: u64 = self.ps.block_exec_cycles(LayerName::Conv1, false)
-            + self.ps.block_exec_cycles(LayerName::Fc, false)
-            + self.ps.runtime_overhead_cycles();
-        let mut pl_seconds = 0.0f64;
-        let mut dma_words = 0u64;
-
-        let mut z: Tensor<S> = Tensor::from_f32_tensor(x);
-        z = self.qnet.pre.forward(&z);
-        for stage in &self.qnet.stages {
-            if stage.blocks.is_empty() {
-                continue;
-            }
-            let on_pl = self.offloaded.contains(&stage.name);
-            for block in &stage.blocks {
-                // The numerics are placement-independent (everything is
-                // in `S` here); on_pl only decides timing attribution.
-                z = if stage.plan.is_ode {
-                    block.ode_forward(&z, stage.plan.execs)
-                } else {
-                    block.residual_forward(&z)
-                };
-                if on_pl {
-                    dma_words += crate::datapath::dma_words(stage.name, S::BYTES);
-                    pl_seconds +=
-                        self.pl
-                            .stage_seconds(stage.name, stage.plan.execs, &self.board, S::BYTES);
-                } else {
-                    ps_cycles += stage.plan.execs as u64
-                        * self.ps.block_exec_cycles(stage.name, stage.plan.is_ode);
-                }
-            }
-        }
-        let logits = self.qnet.fc.forward(&z).to_f32();
-        Ok(RunReport {
-            logits,
-            images: x.shape().n,
-            ps_seconds: self.board.ps_seconds(ps_cycles),
-            pl_seconds,
-            dma_words,
-            offloaded: self.offloaded.clone(),
-            backend: self.name(),
-        })
+        let logits = self.qnet.forward(&Tensor::from_f32_tensor(x)).to_f32();
+        Ok(self.timing.report(logits, &self.offloaded, self.name()))
     }
 }
 
@@ -938,6 +897,12 @@ impl<'n> EngineBuilder<'n> {
 
     /// Batch-norm statistics for PS-resident stages (default:
     /// [`BnMode::OnTheFly`], matching the PL circuit end to end).
+    ///
+    /// conv1 uses on-the-fly statistics in every engine backend,
+    /// whatever this mode (the deployed pre-processing computes them
+    /// on the device; see [`Network::walk`]). A `Running` engine
+    /// therefore differs from `Network::forward(x, BnMode::Running)`
+    /// at conv1.
     pub fn bn_mode(mut self, bn: BnMode) -> Self {
         self.bn = bn;
         self
@@ -1294,9 +1259,7 @@ fn build_walk_backend<'n>(
         pl_stages,
         offloaded,
         bn: cplan.bn_mode(),
-        ps: *cplan.ps_model(),
-        head: *cplan.cluster().head(),
-        transfer_seconds: cplan.transfer_seconds(),
+        timing: ImageTiming::of(cplan),
     }))
 }
 
@@ -1331,9 +1294,7 @@ fn build_bit_exact_backend<'n, S: Scalar>(
     Box::new(PlBitExactBackend {
         qnet: net.quantize::<S>(),
         offloaded: plan.target().layers().to_vec(),
-        ps: *plan.ps_model(),
-        pl: *plan.pl_model(),
-        board: *plan.board(),
+        timing: ImageTiming::of(plan.cluster_plan()),
     })
 }
 

@@ -5,19 +5,23 @@
 //! to the original execution semantics — same logits, same modelled
 //! timing — across every placement × architecture × batch-norm mode.
 //!
-//! The reference below is a line-for-line reimplementation of the
-//! original free-function loop (pre-engine), built from the same public
-//! primitives, so the original semantics stay pinned after the
-//! free functions themselves are gone.
+//! The references below are line-for-line reimplementations of the
+//! original per-call loops — the free-function hybrid loop (pre-engine)
+//! and the fully-fixed-point backend's own walk — built from the same
+//! public primitives, so the original semantics stay pinned after the
+//! loops themselves are gone.
 
 use odenet_suite::prelude::*;
+use qfixed::Fix16;
+use tensor::Scalar;
 use zynq_sim::datapath::{dma_words, OdeBlockAccel};
 
 /// The original `run_hybrid_with` semantics, verbatim: PS stages in f32
-/// with `ps_bn` statistics, target stages quantized on the fly and run
-/// on the simulated circuit, conv1 always on-the-fly (the deployed
-/// pre-processing), per-image timing from the calibrated models.
-fn reference_hybrid(
+/// with `ps_bn` statistics, target stages quantized on the fly into `S`
+/// and run on the simulated circuit, conv1 always on-the-fly (the
+/// deployed pre-processing), per-image timing from the calibrated
+/// models.
+fn reference_hybrid<S: Scalar>(
     net: &Network,
     x: &Tensor<f32>,
     target: OffloadTarget,
@@ -43,14 +47,14 @@ fn reference_hybrid(
             if on_pl {
                 assert_eq!(stage.blocks.len(), 1, "only single-instance stages offload");
                 let accel = OdeBlockAccel::new(block, pl.parallelism, board);
-                let zq: Tensor<qfixed::Q20> = Tensor::from_f32_tensor(&z);
+                let zq: Tensor<S> = Tensor::from_f32_tensor(&z);
                 let execs = if stage.plan.is_ode {
                     stage.plan.execs
                 } else {
                     1
                 };
                 let run = accel.run_stage(&zq, execs);
-                dma += dma_words(stage.name, 4);
+                dma += dma_words(stage.name, S::BYTES);
                 pl_seconds += run.seconds;
                 z = run.output.to_f32();
             } else {
@@ -66,6 +70,100 @@ fn reference_hybrid(
     }
     let logits = net.fc_forward(&z);
     (logits, board.ps_seconds(ps_cycles), pl_seconds, dma)
+}
+
+/// The original fully-fixed-point walk (`PlBitExactBackend::infer`),
+/// verbatim: the whole network in `S`, offloaded stages timed on the
+/// circuit model, the rest on the PS model.
+fn reference_bit_exact<S: Scalar>(
+    net: &Network,
+    x: &Tensor<f32>,
+    target: OffloadTarget,
+    ps: &PsModel,
+    pl: &PlModel,
+    board: &zynq_sim::Board,
+) -> (Tensor<f32>, f64, f64, u64) {
+    let qnet = net.quantize::<S>();
+    let offloaded: Vec<LayerName> = target.layers().to_vec();
+    let mut ps_cycles: u64 = ps.block_exec_cycles(LayerName::Conv1, false)
+        + ps.block_exec_cycles(LayerName::Fc, false)
+        + ps.runtime_overhead_cycles();
+    let mut pl_seconds = 0.0f64;
+    let mut dma = 0u64;
+
+    let mut z: Tensor<S> = Tensor::from_f32_tensor(x);
+    z = qnet.pre.forward(&z);
+    for stage in &qnet.stages {
+        if stage.blocks.is_empty() {
+            continue;
+        }
+        let on_pl = offloaded.contains(&stage.name);
+        for block in &stage.blocks {
+            z = if stage.plan.is_ode {
+                block.ode_forward(&z, stage.plan.execs)
+            } else {
+                block.residual_forward(&z)
+            };
+            if on_pl {
+                dma += dma_words(stage.name, S::BYTES);
+                pl_seconds += pl.stage_seconds(stage.name, stage.plan.execs, board, S::BYTES);
+            } else {
+                ps_cycles +=
+                    stage.plan.execs as u64 * ps.block_exec_cycles(stage.name, stage.plan.is_ode);
+            }
+        }
+    }
+    let logits = qnet.fc.forward(&z).to_f32();
+    (logits, board.ps_seconds(ps_cycles), pl_seconds, dma)
+}
+
+/// Build `target` on the PYNQ-Z2 at `format` under both built-in
+/// backends that execute it in `S` — the hybrid walk and the
+/// fully-fixed-point network — and check each against its verbatim
+/// reference: logits bit for bit, and every timing field bit for bit
+/// against the hybrid reference (the cost model is input-independent,
+/// so the two backends must report the same time).
+fn check_fixed_point_backends<S: Scalar>(
+    net: &Network,
+    x: &Tensor<f32>,
+    target: OffloadTarget,
+    format: PlFormat,
+) {
+    let (ps, pl) = (PsModel::Calibrated, PlModel::default());
+    let (h_logits, ps_s, pl_s, dma) =
+        reference_hybrid::<S>(net, x, target, BnMode::OnTheFly, &ps, &pl, &PYNQ_Z2);
+    let (q_logits, q_ps, q_pl, q_dma) =
+        reference_bit_exact::<S>(net, x, target, &ps, &pl, &PYNQ_Z2);
+    let variant = net.spec.variant;
+    for (backend, want) in [
+        (BackendKind::Hybrid, &h_logits),
+        (BackendKind::PlBitExact, &q_logits),
+    ] {
+        if backend == BackendKind::Hybrid && target == OffloadTarget::None {
+            continue; // the software path, covered by the matrix itself
+        }
+        let engine = Engine::builder(net)
+            .board(&PYNQ_Z2)
+            .offload(Offload::Target(target))
+            .precision(Precision::Uniform(format))
+            .ps_model(ps)
+            .pl_model(pl)
+            .backend(backend)
+            .build()
+            .unwrap_or_else(|e| panic!("{variant}/{target:?}/{backend:?}/{format:?}: {e}"));
+        let run = engine.infer(x).expect("valid engine runs");
+        let label = format!("{variant}/{target:?}/{backend:?}/{format:?}");
+        assert_eq!(run.logits.as_slice(), want.as_slice(), "{label}: logits");
+        assert_eq!(run.ps_seconds.to_bits(), ps_s.to_bits(), "{label}: PS time");
+        assert_eq!(run.pl_seconds.to_bits(), pl_s.to_bits(), "{label}: PL time");
+        assert_eq!(run.dma_words, dma, "{label}: DMA");
+        assert_eq!(run.offloaded, target.layers().to_vec(), "{label}");
+    }
+    // The verbatim bit-exact loop timed itself the same way.
+    assert_eq!(
+        (q_ps.to_bits(), q_pl.to_bits(), q_dma),
+        (ps_s.to_bits(), pl_s.to_bits(), dma)
+    );
 }
 
 fn image(seed: u64) -> Tensor<f32> {
@@ -88,6 +186,7 @@ fn engine_bit_identical_to_legacy_across_matrix() {
     let pl = PlModel::default();
     let mut deployable = 0usize;
     let mut rejected = 0usize;
+    let mut bit_exact = 0usize;
     for (vi, variant) in [Variant::ResNet, Variant::ROdeNet3, Variant::OdeNet]
         .into_iter()
         .enumerate()
@@ -112,7 +211,7 @@ fn engine_bit_identical_to_legacy_across_matrix() {
                         let x = image(7 + vi as u64);
                         let run = engine.infer(&x).expect("valid engine runs");
                         let (logits, ps_s, pl_s, dma) =
-                            reference_hybrid(&net, &x, target, bn, &ps, &pl, &PYNQ_Z2);
+                            reference_hybrid::<Q20>(&net, &x, target, bn, &ps, &pl, &PYNQ_Z2);
                         assert_eq!(
                             run.logits.as_slice(),
                             logits.as_slice(),
@@ -122,6 +221,10 @@ fn engine_bit_identical_to_legacy_across_matrix() {
                         assert_eq!(run.pl_seconds, pl_s, "{variant}/{target:?}/{bn:?} PL time");
                         assert_eq!(run.dma_words, dma, "{variant}/{target:?}/{bn:?} DMA");
                         assert_eq!(run.offloaded, target.layers().to_vec());
+                        if bn == BnMode::OnTheFly {
+                            check_fixed_point_backends::<Q20>(&net, &x, target, PlFormat::Q20);
+                            bit_exact += 1;
+                        }
                     }
                     Err(e) => {
                         assert!(
@@ -142,6 +245,20 @@ fn engine_bit_identical_to_legacy_across_matrix() {
     assert_eq!(combos, 48);
     assert_eq!(deployable, 2 * (5 + 3 + 1), "deployable combos");
     assert_eq!(rejected, combos - deployable, "rejected combos");
+    assert_eq!(
+        bit_exact,
+        deployable / 2,
+        "every on-the-fly row ran bit-exact"
+    );
+
+    // One reduced-width row: the footnote-2 Q16.10 datapath.
+    let net = Network::new(NetSpec::new(Variant::ROdeNet3, 20).with_classes(10), 1001);
+    check_fixed_point_backends::<Fix16<10>>(
+        &net,
+        &image(8),
+        OffloadTarget::Layer32,
+        PlFormat::Q16 { frac: 10 },
+    );
 }
 
 /// The plan's cached Table 5 row is the same timing an actual
