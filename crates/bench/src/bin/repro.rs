@@ -1736,7 +1736,8 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 fn hotpath_cmd(flags: &Flags) {
-    use tensor::conv::set_force_reference;
+    use tensor::conv::{conv2d, conv2d_packed, set_force_reference};
+    use tensor::ops::concat_time_channel;
     use zynq_sim::engine::{Engine, Offload};
 
     /// Time `f` on the scalar reference kernels, then on the im2col/GEMM
@@ -1795,6 +1796,24 @@ fn hotpath_cmd(flags: &Flags) {
             let zq = Tensor::<Q20>::from_f32_tensor(&z);
             let (r, f) = face_off(3, || accel.run_stage(&zq, stage.plan.execs));
             row("layer3_2 PL stage (Q20)", r, f);
+            // The stage's first conv (65 → 64 channels, 8×8), 100 calls
+            // on the same operands: per-call `conv2d` runs the direct
+            // core, the circuit's resident weights the Winograd route.
+            let block = stage.blocks[0].quantize::<Q20>();
+            let xc = concat_time_channel(&zq, Q20::ZERO);
+            let direct = || conv2d(&xc, block.w1.raw(), block.cfg1);
+            let resident = || conv2d_packed(&xc, &block.w1, block.cfg1);
+            assert_eq!(
+                direct().as_slice(),
+                resident().as_slice(),
+                "the Winograd route must equal the direct core bit for bit"
+            );
+            let calls = |f: &dyn Fn() -> Tensor<Q20>| best_of(3, || (0..100).map(|_| f()).last());
+            row(
+                "layer3_2 conv (Q20) x100: direct -> Winograd",
+                calls(&direct),
+                calls(&resident),
+            );
             let accel = OdeBlockAccel::<Q10x16>::new(&stage.blocks[0], 16, &PYNQ_Z2);
             let zq = Tensor::<Q10x16>::from_f32_tensor(&z);
             let (r, f) = face_off(3, || accel.run_stage(&zq, stage.plan.execs));

@@ -50,20 +50,52 @@
 //!
 //! The fixed-point layout follows the circuit. The weights are packed
 //! once, as the PL loads them into BRAM once: a [`ConvWeights`] holds
-//! their offset-binary rows and row sums beside the raw tensor, and
-//! [`conv2d_packed`] reuses them on every call (`rodenet`'s quantized
-//! blocks build theirs when they are quantized; [`conv2d`] packs per
-//! call). The input is never expanded into an im2col matrix: it is
-//! flipped once into a copy with a one-pixel border of flipped zeros
-//! (`0x8000_0000`), and each output pixel's `C×3×3` window is gathered
-//! from it straight into the K-contiguous row the core reads, with the
-//! row's `Σ x'` taken in the same pass.
+//! one packed form beside the raw tensor — the Winograd rows below where
+//! they apply, otherwise the offset-binary rows and row sums of the
+//! direct core — and [`conv2d_packed`] reuses it on every call
+//! (`rodenet`'s quantized blocks build theirs when they are quantized;
+//! [`conv2d`] packs direct rows per call, and so does the direct
+//! fallback of weights holding Winograd rows). The input is never
+//! expanded into an im2col matrix: it is flipped once into a copy with a
+//! one-pixel border of flipped zeros (`0x8000_0000`), and each output
+//! pixel's `C×3×3` window is gathered from it straight into the
+//! K-contiguous row the core reads, with the row's `Σ x'` taken in the
+//! same pass.
+//!
+//! # Winograd
+//!
+//! [`conv2d_packed`] runs stride-1 fixed-point convs as Winograd
+//! F(2×2,3×3) (Lavin & Gray, arXiv 1509.09308): each 2×2 output tile is
+//! `Aᵀ·[U ⊙ V]·A`, with `U = G·g·Gᵀ` per 3×3 filter `g` and `V = Bᵀ·d·B`
+//! per 4×4 input tile `d`, so a tile costs 16 multiplies per channel pair
+//! instead of 36. The 16 tile positions of `U ⊙ V`, summed over input
+//! channels, are 16 GEMMs (K = input channels, N = tiles) through the
+//! same offset-binary core. `Bᵀ` and `Aᵀ` are integer; `G` has halves,
+//! so the packing uses `G' = 2G = [[2,0,0],[1,1,1],[1,-1,1],[0,0,2]]`
+//! and `U' = G'·g·G'ᵀ = 4U`. Every transform is then integer and the
+//! identity is exact over the integers, so the tile sums are
+//! `4·Σ w·x (mod 2^64)`: bits 2..63 hold bits 0..61 of the reference's
+//! wrapping sum, and an arithmetic `>> 2` restores them, sign-extended
+//! from bit 61. `Fix<F>`'s `acc_finish` reads bits F..F+31, all of them
+//! present for F ≤ 30 ([`crate::scalar::FixedPoint::sum_bits`] ≤ 62).
+//! `Fix16`'s sums are exact and below 2^61 in magnitude, so the shift
+//! restores the whole sum and its saturating `acc_finish` sees exactly
+//! what it sees on the reference path.
+//!
+//! The core multiplies 32-bit words, so the route runs only where every
+//! transformed operand fits an i32. A `U'` word sums at most 9 weights,
+//! so the weights are checked once, at pack time (`9·max|w_raw| < 2^31`);
+//! a `V` word sums at most 4 inputs, so each call checks its input
+//! (`max|x_raw| < 2^29`, i.e. `|x| < 512` in Q20). Weights that fail
+//! their check keep direct rows. Stride 2, odd extents and inputs past
+//! the bound take the direct core ([`conv2d_winograd`] is the route on
+//! its own, `None` where it does not apply).
 //!
 //! The equivalence is pinned by unit tests here, proptests in
 //! `tensor/tests/props.rs` across shapes × strides × scalar types
 //! (including raw Q20, Q16 and `Fix16<10>` bit patterns over their whole
-//! range), and a fixed sweep over the rODENet geometries in the root
-//! `tests/conv_oracle.rs`.
+//! range, and in-range ones that take the Winograd route), and a fixed
+//! sweep over the rODENet geometries in the root `tests/conv_oracle.rs`.
 
 use crate::scalar::FixedPoint;
 use crate::{par, Scalar, Shape4, Tensor};
@@ -140,11 +172,52 @@ pub fn conv2d<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams) -> Tenso
 }
 
 /// [`conv2d`] with weights packed once, ahead of the call — the software
-/// image of the circuit's BRAM-resident weights. It routes exactly as
-/// [`conv2d`] does, [`set_force_reference`] included: the reference
-/// kernel then runs on the raw weights.
+/// image of the circuit's BRAM-resident weights. It takes the Winograd
+/// route ([`conv2d_winograd`]) where that applies and otherwise routes
+/// exactly as [`conv2d`] does; [`set_force_reference`] pins the
+/// reference kernel on the raw weights.
 pub fn conv2d_packed<S: Scalar>(x: &Tensor<S>, w: &ConvWeights<S>, p: Conv2dParams) -> Tensor<S> {
-    conv2d_with(x, &w.raw, w.packed.as_ref(), p)
+    if force_reference() {
+        return conv2d_reference(x, &w.raw, p);
+    }
+    if let Some(out) = conv2d_winograd(x, w, p) {
+        return out;
+    }
+    let direct = match &w.packed {
+        Some(Packed::Direct(rows)) => Some(rows),
+        _ => None,
+    };
+    conv2d_with(x, &w.raw, direct, p)
+}
+
+/// The Winograd F(2×2,3×3) route of [`conv2d_packed`] on its own
+/// (see the module docs), bit-identical to [`conv2d_reference`], or
+/// `None` where it does not apply: weights without Winograd rows (f32,
+/// kernels other than 3×3, weights past `9·max|w_raw| < 2^31`, formats
+/// whose `acc_finish` reads past bit 61), a geometry other than 3×3 /
+/// pad 1 / stride 1, an odd extent, or an input past `max|x_raw| < 2^29`.
+pub fn conv2d_winograd<S: Scalar>(
+    x: &Tensor<S>,
+    w: &ConvWeights<S>,
+    p: Conv2dParams,
+) -> Option<Tensor<S>> {
+    let (Some(fp), Some(Packed::Winograd(u))) = (S::FIXED_POINT, &w.packed) else {
+        return None;
+    };
+    let xs = x.shape();
+    let fits = || {
+        x.as_slice()
+            .iter()
+            .all(|&v| (fp.bits)(v).unsigned_abs() < X_BOUND)
+    };
+    if p != Conv2dParams::same_3x3() || xs.h % 2 == 1 || xs.w % 2 == 1 || !fits() {
+        return None;
+    }
+    let mut out = Tensor::<S>::zeros(conv2d_out_shape(xs, w.raw.shape(), p));
+    if xs.c > 0 {
+        winograd_3x3(x, u, fp, &mut out);
+    }
+    Some(out)
 }
 
 fn conv2d_with<S: Scalar>(
@@ -164,18 +237,32 @@ fn conv2d_with<S: Scalar>(
 
 /// Convolution weights prepared once for the fast path: the raw tensor,
 /// which the reference kernel and the f32 GEMM read, and, for a
-/// fixed-point [`Scalar`], its offset-binary rows with their row sums,
-/// which the fixed-point core reads on every call.
+/// fixed-point [`Scalar`], the one packed form the fixed-point core reads
+/// on every call (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ConvWeights<S: Scalar> {
     raw: Tensor<S>,
-    packed: Option<PackedRows>,
+    packed: Option<Packed>,
+}
+
+/// The packed form a fixed-point [`ConvWeights`] holds.
+#[derive(Clone, Debug)]
+enum Packed {
+    /// The raw weights' rows, for the direct core.
+    Direct(PackedRows),
+    /// `U' = G'·g·G'ᵀ`, one matrix per tile position `t = 4·r + c` of
+    /// the 4×4 transformed tile: row `o`, column `i` of matrix `t` is
+    /// `U'[r][c]` of filter `(o, i)`.
+    Winograd(Vec<PackedRows>),
 }
 
 impl<S: Scalar> ConvWeights<S> {
     /// Pack `raw`, shaped `(O, I, K, K)`.
     pub fn new(raw: Tensor<S>) -> Self {
-        let packed = S::FIXED_POINT.map(|fp| PackedRows::new(&raw, fp));
+        let packed = S::FIXED_POINT.map(|fp| match winograd_rows(&raw, fp) {
+            Some(u) => Packed::Winograd(u),
+            None => Packed::Direct(direct_rows(&raw, fp)),
+        });
         ConvWeights { raw, packed }
     }
 
@@ -185,27 +272,74 @@ impl<S: Scalar> ConvWeights<S> {
     }
 }
 
-/// Offset-binary weight rows for the fixed-point core: row `o` holds
-/// `w'[o][k] = w[o][k] + 2^31` in the reference's `(i, ky, kx)` tap
-/// order, and zero rows pad the output channels to a whole `TILE_MR`.
+/// Offset-binary weight rows for the fixed-point core: row `m` holds
+/// `w'[m][k] = w[m][k] + 2^31`, and zero rows pad the matrix to a whole
+/// `TILE_MR`.
 #[derive(Clone, Debug)]
 struct PackedRows {
     rows: Vec<u32>,
-    /// `Σ_k w'[o][k]` per row, padded rows included.
+    /// `Σ_k w'[m][k]` per row, padded rows included.
     sums: Vec<u64>,
 }
 
 impl PackedRows {
-    fn new<S: Scalar>(w: &Tensor<S>, fp: FixedPoint<S>) -> Self {
-        let ws = w.shape();
-        let kdim = ws.c * ws.h * ws.w;
-        let mut rows = vec![0u32; ws.n.next_multiple_of(TILE_MR) * kdim];
-        for (d, &v) in rows.iter_mut().zip(w.as_slice()) {
-            *d = offset_binary((fp.bits)(v));
-        }
+    /// Offset-binary `rows`, `kdim` words each, with their sums.
+    fn new(rows: Vec<u32>, kdim: usize) -> Self {
         let sums = rows.chunks(kdim.max(1)).map(row_sum).collect();
         PackedRows { rows, sums }
     }
+}
+
+/// The direct core's rows: `w` as an `O × (I·K·K)` matrix, taps in the
+/// reference's `(i, ky, kx)` order.
+fn direct_rows<S: Scalar>(w: &Tensor<S>, fp: FixedPoint<S>) -> PackedRows {
+    let ws = w.shape();
+    let kdim = ws.c * ws.h * ws.w;
+    let mut rows = vec![0u32; ws.n.next_multiple_of(TILE_MR) * kdim];
+    for (d, &v) in rows.iter_mut().zip(w.as_slice()) {
+        *d = offset_binary((fp.bits)(v));
+    }
+    PackedRows::new(rows, kdim)
+}
+
+/// Input words of the Winograd route stay below this magnitude, so each
+/// `V` word (a sum of 4) fits an i32.
+const X_BOUND: u32 = 1 << 29;
+
+/// The Winograd rows of `w`, or `None` where the route does not apply:
+/// a kernel other than 3×3, a format whose `acc_finish` reads past the
+/// 62 bits the route recovers, or a weight whose `U'` words (sums of up
+/// to 9) could leave i32. The filter transform uses adds only.
+fn winograd_rows<S: Scalar>(w: &Tensor<S>, fp: FixedPoint<S>) -> Option<Vec<PackedRows>> {
+    let ws = w.shape();
+    let fits = |v: S| 9 * u64::from((fp.bits)(v).unsigned_abs()) < 1 << 31;
+    if (ws.h, ws.w) != (3, 3) || fp.sum_bits > 62 || !w.as_slice().iter().all(|&v| fits(v)) {
+        return None;
+    }
+    // Each row `x` of a 3×3 block times `G'ᵀ`.
+    let g_prime = |x: [i32; 3]| {
+        [
+            x[0] + x[0],
+            x[0] + x[1] + x[2],
+            x[0] - x[1] + x[2],
+            x[2] + x[2],
+        ]
+    };
+    let mut u = vec![vec![0u32; ws.n.next_multiple_of(TILE_MR) * ws.c]; 16];
+    for (f, g) in w.as_slice().chunks_exact(9).enumerate() {
+        let h: [[i32; 4]; 3] =
+            std::array::from_fn(|r| g_prime(std::array::from_fn(|k| (fp.bits)(g[3 * r + k]))));
+        // `cols[c][r]` is `U'[r][c]`.
+        let cols: [[i32; 4]; 4] = std::array::from_fn(|c| g_prime(h.map(|row| row[c])));
+        for (t, ut) in u.iter_mut().enumerate() {
+            ut[f] = offset_binary(cols[t % 4][t / 4]);
+        }
+    }
+    Some(
+        u.into_iter()
+            .map(|rows| PackedRows::new(rows, ws.c))
+            .collect(),
+    )
 }
 
 /// The original scalar convolution kernel, kept verbatim as the reference
@@ -301,7 +435,7 @@ fn fast_3x3<S: Scalar>(
             let packed = match packed {
                 Some(rows) => rows,
                 None => {
-                    fresh = PackedRows::new(w, fp);
+                    fresh = direct_rows(w, fp);
                     &fresh
                 }
             };
@@ -509,12 +643,7 @@ fn pack_windows(
 /// The fixed-point GEMM core over raw words, compiled once for every
 /// width: `sums[m][j] = Σ_k w[m][k]·x[j][k]` as a wrapping i64, from the
 /// offset-binary weight rows `w` and the window rows `xt` (row sums
-/// `xsum`), both K-contiguous and padded to whole tiles. Each unsigned
-/// `Σ w'x'` is corrected to the signed sum once, by the identity in the
-/// module docs.
-///
-/// Each `w'x'` is one unsigned 32×32→64 multiply, and the `TILE_MR ×
-/// TILE_NR` accumulators stay in registers over the whole K loop. The
+/// `xsum`), both K-contiguous and padded to whole tiles. The
 /// output-channel blocks are split over [`crate::par`].
 fn offset_binary_gemm(
     w: &PackedRows,
@@ -524,20 +653,146 @@ fn offset_binary_gemm(
     xsum: &[u64],
     sums: &mut [i64],
 ) {
-    let bias = (kdim as u64) << 62;
     par::par_chunks_mut(sums, TILE_MR * nc, kdim, |blk, chunk| {
-        let m0 = blk * TILE_MR;
-        let wblock = &w.rows[m0 * kdim..(m0 + TILE_MR) * kdim];
-        for j0 in (0..nc).step_by(TILE_NR) {
-            let acc = offset_binary_tile(wblock, &xt[j0 * kdim..(j0 + TILE_NR) * kdim], kdim);
-            let nb = TILE_NR.min(nc - j0);
-            for ((arow, orow), &rsum) in acc.iter().zip(chunk.chunks_mut(nc)).zip(&w.sums[m0..]) {
-                for ((o, &a), &csum) in orow[j0..j0 + nb].iter_mut().zip(arow).zip(&xsum[j0..]) {
-                    *o = a.wrapping_sub((rsum + csum) << 31).wrapping_add(bias) as i64;
+        offset_binary_block(w, blk * TILE_MR, kdim, nc, xt, xsum, chunk);
+    });
+}
+
+/// One block of the core: `out[m][j]` (up to `TILE_MR` rows of `nc`) is
+/// the wrapping i64 `Σ w·x` of weight row `m0 + m` and window row `j`.
+/// Each unsigned `Σ w'x'` is corrected to the signed sum once, by the
+/// identity in the module docs.
+///
+/// Each `w'x'` is one unsigned 32×32→64 multiply, and the `TILE_MR ×
+/// TILE_NR` accumulators stay in registers over the whole K loop.
+#[inline]
+fn offset_binary_block(
+    w: &PackedRows,
+    m0: usize,
+    kdim: usize,
+    nc: usize,
+    xt: &[u32],
+    xsum: &[u64],
+    out: &mut [i64],
+) {
+    let bias = (kdim as u64) << 62;
+    let wblock = &w.rows[m0 * kdim..(m0 + TILE_MR) * kdim];
+    for j0 in (0..nc).step_by(TILE_NR) {
+        let acc = offset_binary_tile(wblock, &xt[j0 * kdim..(j0 + TILE_NR) * kdim], kdim);
+        let nb = TILE_NR.min(nc - j0);
+        for ((arow, orow), &rsum) in acc.iter().zip(out.chunks_mut(nc)).zip(&w.sums[m0..]) {
+            for ((o, &a), &csum) in orow[j0..j0 + nb].iter_mut().zip(arow).zip(&xsum[j0..]) {
+                *o = a.wrapping_sub((rsum + csum) << 31).wrapping_add(bias) as i64;
+            }
+        }
+    }
+}
+
+/// `Aᵀ·M·A` for one tile's 4×4 `M` (row-major), wrapping: the tile's
+/// 2×2 outputs, still scaled by 4.
+#[inline]
+fn winograd_output(m: [i64; 16]) -> [[i64; 2]; 2] {
+    // `Aᵀ·x` for a 4-vector `x`.
+    let a = |x: [i64; 4]| {
+        [
+            x[0].wrapping_add(x[1]).wrapping_add(x[2]),
+            x[1].wrapping_sub(x[2]).wrapping_sub(x[3]),
+        ]
+    };
+    // `am[c]` is column `c` of `Aᵀ·M`.
+    let am: [[i64; 2]; 4] = std::array::from_fn(|c| a([m[c], m[4 + c], m[8 + c], m[12 + c]]));
+    std::array::from_fn(|q| a(am.map(|col| col[q])))
+}
+
+/// The Winograd route (see the module docs): per batch item, copy the
+/// input into a zero-bordered buffer, transform its 4×4 tiles, run the
+/// 16 tile-position GEMMs, and apply `>> 2` and the format's
+/// `acc_finish` to each output.
+fn winograd_3x3<S: Scalar>(
+    x: &Tensor<S>,
+    u: &[PackedRows],
+    fp: FixedPoint<S>,
+    out: &mut Tensor<S>,
+) {
+    let xs = x.shape();
+    let os = out.shape();
+    let pw = xs.w + 2;
+    let (tw, nt) = (os.w / 2, os.h / 2 * (os.w / 2));
+    let ntp = nt.next_multiple_of(TILE_NR);
+    // The border is written once; each item overwrites only the interior.
+    let mut xpad = vec![0i32; xs.c * (xs.h + 2) * pw];
+    let mut v = vec![0u32; 16 * ntp * xs.c];
+    let mut vsum = vec![0u64; 16 * ntp];
+    let mut sums = vec![0i64; os.c * os.h * os.w];
+    for n in 0..xs.n {
+        let planes = x.item(n).chunks_exact(xs.h * xs.w);
+        for (plane, src) in xpad.chunks_exact_mut((xs.h + 2) * pw).zip(planes) {
+            for (row, srow) in plane[pw..].chunks_exact_mut(pw).zip(src.chunks_exact(xs.w)) {
+                for (d, &s) in row[1..].iter_mut().zip(srow) {
+                    *d = (fp.bits)(s);
                 }
             }
         }
-    });
+        winograd_input(&xpad, xs.c, pw, tw, nt, &mut v, &mut vsum);
+        par::par_chunks_mut(&mut sums, TILE_MR * 4 * nt, 4 * xs.c, |blk, chunk| {
+            // The block's `M[t][m][j]`: tile `j`'s position `t`, summed
+            // over input channels.
+            let mut mt = vec![0i64; 16 * TILE_MR * nt];
+            for ((t, ut), out) in u.iter().enumerate().zip(mt.chunks_exact_mut(TILE_MR * nt)) {
+                let (vt, vs) = (&v[t * ntp * xs.c..(t + 1) * ntp * xs.c], &vsum[t * ntp..]);
+                offset_binary_block(ut, blk * TILE_MR, xs.c, nt, vt, vs, out);
+            }
+            for (m, plane) in chunk.chunks_exact_mut(4 * nt).enumerate() {
+                for j in 0..nt {
+                    let y =
+                        winograd_output(std::array::from_fn(|t| mt[(t * TILE_MR + m) * nt + j]));
+                    let at = 2 * (j / tw * os.w + j % tw);
+                    plane[at..at + 2].copy_from_slice(&y[0]);
+                    plane[at + os.w..at + os.w + 2].copy_from_slice(&y[1]);
+                }
+            }
+        });
+        for (o, &s) in out.item_mut(n).iter_mut().zip(&sums) {
+            *o = (fp.finish)(s >> 2);
+        }
+    }
+}
+
+/// `V = Bᵀ·d·B` for each channel's 4×4 tile `d` of the bordered input
+/// `xpad` (`c` planes, rows `pw` words wide; tile `j` has its corner at
+/// `(2·(j / tw), 2·(j % tw))`), flipped to offset binary into the
+/// K-contiguous rows `v[t][j][·]` of tile position `t`, with their sums
+/// in `vsum[t][j]`.
+fn winograd_input(
+    xpad: &[i32],
+    c: usize,
+    pw: usize,
+    tw: usize,
+    nt: usize,
+    v: &mut [u32],
+    vsum: &mut [u64],
+) {
+    // Each row `x` of a 4×4 block times `B`.
+    let b = |x: [i32; 4]| [x[0] - x[2], x[1] + x[2], x[2] - x[1], x[1] - x[3]];
+    let (ntp, plane) = (vsum.len() / 16, xpad.len() / c);
+    for j in 0..nt {
+        let at = 2 * (j / tw * pw + j % tw);
+        let mut sums = [0u64; 16];
+        for (i, src) in xpad[at..].chunks(plane).enumerate() {
+            let h: [[i32; 4]; 4] =
+                std::array::from_fn(|r| b(std::array::from_fn(|k| src[r * pw + k])));
+            // `cols[col][r]` is `V[r][col]`.
+            let cols: [[i32; 4]; 4] = std::array::from_fn(|col| b(h.map(|row| row[col])));
+            for (t, sum) in sums.iter_mut().enumerate() {
+                let word = offset_binary(cols[t % 4][t / 4]);
+                v[(t * ntp + j) * c + i] = word;
+                *sum += u64::from(word);
+            }
+        }
+        for (t, sum) in sums.into_iter().enumerate() {
+            vsum[t * ntp + j] = sum;
+        }
+    }
 }
 
 /// `Σ_k w'[m][k]·x'[j][k]` for the `TILE_MR` weight rows in `w` and the
@@ -996,9 +1251,10 @@ mod tests {
     fn force_reference_toggle_routes_dispatch() {
         // Both routes are bit-identical, so this checks that the toggle
         // round-trips and conv2d still works under it, then that the
-        // packed entry honours it too: with its packed rows zeroed, only
-        // the reference route still reads the raw weights.
-        let x = seq_tensor(Shape4::new(1, 2, 5, 5), 0.3);
+        // packed entry honours it too: with its packed form zeroed (the
+        // Winograd rows here, or the direct rows of weights without
+        // them), only the reference route still reads the raw weights.
+        let x = seq_tensor(Shape4::new(1, 2, 6, 6), 0.3);
         let w = seq_tensor(Shape4::new(2, 2, 3, 3), 0.2);
         let p = Conv2dParams::same_3x3();
         let fast = conv2d(&x, &w, p);
@@ -1007,11 +1263,14 @@ mod tests {
             Tensor::<Q20>::from_f32_tensor(&w),
         );
         let mut stale = ConvWeights::new(wq.clone());
-        let rows = stale
+        match stale
             .packed
             .as_mut()
-            .expect("fixed point packs its weights");
-        rows.rows.fill(0);
+            .expect("fixed point packs its weights")
+        {
+            Packed::Direct(rows) => rows.rows.fill(0),
+            Packed::Winograd(u) => u.iter_mut().for_each(|rows| rows.rows.fill(0)),
+        }
         set_force_reference(true);
         assert!(force_reference());
         let slow = conv2d(&x, &w, p);
@@ -1025,5 +1284,24 @@ mod tests {
             conv2d_packed(&xq, &stale, p).as_slice(),
             reference.as_slice()
         );
+    }
+
+    #[test]
+    fn formats_without_winograd_rows_take_the_direct_routes() {
+        // f32 sums depend on their order, and `Fix<31>`'s `acc_finish`
+        // reads bit 62, past the 62 bits the Winograd route recovers.
+        fn check<S: Scalar>(scale: f32) {
+            let p = Conv2dParams::same_3x3();
+            let w = Tensor::<S>::from_f32_tensor(&seq_tensor(Shape4::new(3, 2, 3, 3), scale));
+            let x = Tensor::<S>::from_f32_tensor(&seq_tensor(Shape4::new(1, 2, 4, 4), scale));
+            let packed = ConvWeights::new(w.clone());
+            assert!(conv2d_winograd(&x, &packed, p).is_none());
+            assert_eq!(
+                conv2d_packed(&x, &packed, p).as_slice(),
+                conv2d_reference(&x, &w, p).as_slice()
+            );
+        }
+        check::<f32>(0.1);
+        check::<qfixed::Fix<31>>(0.01);
     }
 }

@@ -86,6 +86,12 @@ pub struct FixedPoint<S> {
     pub bits: fn(S) -> i32,
     /// The format's `acc_finish` on the wrapping i64 `Σ w·x`.
     pub finish: fn(i64) -> S,
+    /// How many low bits of a reachable sum decide `finish`: for every
+    /// `Σ w·x` the format's `mac` chain can produce, `finish` returns
+    /// the same for the sum and for its low `sum_bits` bits sign-extended.
+    /// The conv's Winograd route recovers 62 bits, so it runs only where
+    /// this is at most 62.
+    pub sum_bits: u32,
 }
 
 impl Scalar for f32 {
@@ -233,6 +239,8 @@ impl<const F: u32> Scalar for Fix<F> {
     const FIXED_POINT: Option<FixedPoint<Self>> = Some(FixedPoint {
         bits: Fix::to_bits,
         finish: Self::acc_finish,
+        // `acc_finish` reads bits F..F+31.
+        sum_bits: F + 32,
     });
 }
 
@@ -312,6 +320,9 @@ impl<const F: u32> Scalar for Fix16<F> {
     const FIXED_POINT: Option<FixedPoint<Self>> = Some(FixedPoint {
         bits: |v| i32::from(v.to_bits()),
         finish: Self::acc_finish,
+        // Every sum is exact and below 2^61 in magnitude (fewer than 2^31
+        // products, each at most 2^30), so it sign-extends from bit 61.
+        sum_bits: 62,
     });
 }
 

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use qfixed::{Fix16, Q16, Q20};
 use tensor::conv::{
     conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_im2col_3x3, conv2d_packed,
-    conv2d_reference, Conv2dParams, ConvWeights,
+    conv2d_reference, conv2d_winograd, Conv2dParams, ConvWeights,
 };
 use tensor::ops::{concat_time_channel, euler_step, relu, relu_backward, split_time_channel_grad};
 use tensor::pool::{global_avg_pool, shortcut_a};
@@ -98,6 +98,75 @@ fn conv3x3_raw_q20_instance() -> impl Strategy<Value = (Tensor<Q20>, Tensor<Q20>
                 )
             })
         })
+}
+
+/// The largest raw input magnitude the Winograd route admits
+/// (`max|x_raw| < 2^29`).
+const X_MAX: i32 = (1 << 29) - 1;
+/// The largest raw weight magnitude the Winograd route admits
+/// (`9·max|w_raw| < 2^31`).
+const W_MAX: i32 = i32::MAX / 9;
+
+/// Raw bit patterns in `[-bound, bound]`, with `±bound` and `-1` mixed
+/// into uniform draws.
+fn bounded_bits(len: usize, bound: i32) -> impl Strategy<Value = Vec<i32>> {
+    prop::collection::vec((0u8..8, -bound..=bound), len).prop_map(move |draws| {
+        draws
+            .into_iter()
+            .map(|(pick, raw)| match pick {
+                0 => -bound,
+                1 => bound,
+                2 => -1,
+                _ => raw,
+            })
+            .collect()
+    })
+}
+
+/// Random 3×3 Q20 convolution instances whose raw operands pass the
+/// Winograd route's guards: both strides, 1–2 batch items, extents 1–9
+/// (the odd ones, like stride 2, take the direct core) and 0–5 input
+/// channels. Inputs and weights reach the guards' bounds, so the
+/// reference's sums wrap the wide accumulator.
+fn conv3x3_in_range_q20_instance() -> impl Strategy<Value = (Tensor<Q20>, Tensor<Q20>, Conv2dParams)>
+{
+    (
+        1usize..=2,
+        0usize..=5,
+        1usize..=9,
+        1usize..=9,
+        1usize..=7,
+        1usize..=2,
+    )
+        .prop_flat_map(|(n, c, h, w, o, stride)| {
+            (
+                bounded_bits(n * c * h * w, X_MAX),
+                bounded_bits(o * c * 9, W_MAX),
+            )
+                .prop_map(move |(xd, wd)| {
+                    let q = |bits: Vec<i32>| bits.into_iter().map(Q20::from_bits).collect();
+                    (
+                        Tensor::from_vec(Shape4::new(n, c, h, w), q(xd)),
+                        Tensor::from_vec(Shape4::new(o, c, 3, 3), q(wd)),
+                        Conv2dParams { stride, pad: 1 },
+                    )
+                })
+        })
+}
+
+/// The packed entry, the reference, and whether the Winograd route took
+/// the call, with the weights packed once ahead of it.
+fn packed_reference_routed<S: Scalar>(
+    x: &Tensor<S>,
+    w: &Tensor<S>,
+    p: Conv2dParams,
+) -> (Tensor<S>, Tensor<S>, bool) {
+    let packed = ConvWeights::new(w.clone());
+    (
+        conv2d_packed(x, &packed, p),
+        conv2d_reference(x, w, p),
+        conv2d_winograd(x, &packed, p).is_some(),
+    )
 }
 
 /// The packed entry and the reference on `x` and `w` quantized to `S`,
@@ -273,6 +342,27 @@ proptest! {
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
         let packed = conv2d_packed(&x, &ConvWeights::new(w.clone()), p);
         prop_assert_eq!(packed.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn packed_conv_matches_reference_in_winograd_range((x, w, p) in conv3x3_in_range_q20_instance()) {
+        // In-range operands take the Winograd route on every stride-1
+        // call with even extents, and the direct core otherwise; both
+        // equal the reference at Q20, at Q16 (the same bit patterns) and
+        // at `Fix16<10>` (every 16-bit pattern is in range).
+        let xs = x.shape();
+        let winograd = p.stride == 1 && xs.h % 2 == 0 && xs.w % 2 == 0;
+        let (packed, reference, routed) = packed_reference_routed(&x, &w, p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
+        prop_assert_eq!(routed, winograd);
+        let q16 = |t: &Tensor<Q20>| t.map(|v| Q16::from_bits(v.to_bits()));
+        let (packed, reference, routed) = packed_reference_routed(&q16(&x), &q16(&w), p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
+        prop_assert_eq!(routed, winograd);
+        let fix16 = |t: &Tensor<Q20>| t.map(|v| Fix16::<10>::from_bits((v.to_bits() >> 14) as i16));
+        let (packed, reference, routed) = packed_reference_routed(&fix16(&x), &fix16(&w), p);
+        prop_assert_eq!(packed.as_slice(), reference.as_slice());
+        prop_assert_eq!(routed, winograd);
     }
 
     #[test]

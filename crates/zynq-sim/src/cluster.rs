@@ -976,21 +976,30 @@ impl ClusterPlan {
     /// offloaded stage executes **once** per image no matter how many
     /// replicas carry its circuit, so this sums timeline rows rather
     /// than shards (a replicated stage appears in several shards).
+    /// Zero on a PS-only plan (`+0.0`: an empty `f64` sum is `-0.0`).
     pub fn pl_seconds(&self) -> f64 {
         self.timeline
             .iter()
             .filter(|s| s.layer.is_some())
-            .map(|s| s.seconds)
-            .sum()
+            .fold(0.0, |acc, s| acc + s.seconds)
     }
 
-    /// Per-image PS seconds on the head board.
+    /// Per-image PS seconds on the head board: the PS cycles of every
+    /// stage left there, summed as integers and converted once — the
+    /// figure a run reports as [`crate::engine::RunReport::ps_seconds`].
     pub fn ps_seconds(&self) -> f64 {
-        self.timeline
+        let offloaded_cycles: u64 = self
+            .target
+            .layers()
             .iter()
-            .filter(|s| s.resource.is_ps())
-            .map(|s| s.seconds)
-            .sum()
+            .map(|&layer| {
+                let stage = self.spec.plan(layer);
+                self.ps
+                    .stage_cycles(layer, stage.is_ode, stage.total_execs())
+            })
+            .sum();
+        let cycles = self.ps.spec_cycles(&self.spec) - offloaded_cycles;
+        self.cluster.head().ps_seconds(cycles)
     }
 
     /// Per-image 32-bit AXI bus words (on-board DMA, not interconnect).

@@ -35,10 +35,15 @@
 //!
 //! Like the circuit, which loads its quantized weights into BRAM once
 //! and then streams feature maps past them, [`OdeBlockAccel::new`] packs
-//! both convs' weights once ([`tensor::conv::ConvWeights`]: offset-binary
-//! rows and their row sums). Every Euler step's conv then reads that
-//! packing and packs only its input; the 16-bit formats run the same
-//! fixed-point core.
+//! both convs' weights once ([`tensor::conv::ConvWeights`]). Both are
+//! stride-1 3×3 convs, so the packing holds their exact integer
+//! Winograd F(2×2,3×3) rows, and every Euler step's conv transforms only
+//! its input and runs 16 multiplies per output tile and channel pair
+//! instead of 36 through the offset-binary core, bit-identical to the
+//! direct sum; an input past the route's bound (`|x| ≥ 512` at Q20)
+//! takes the direct core. The 16-bit formats run the same route. This
+//! changes host time only: the cycle and resource model above is the
+//! circuit's direct multiply–add loop.
 
 use crate::board::Board;
 #[cfg(test)]

@@ -731,27 +731,13 @@ struct ImageTiming {
 }
 
 impl ImageTiming {
-    /// One image through `plan`: the PS cycles of every stage left on
-    /// the head board, summed as integers and converted once; the PL
-    /// seconds of the offloaded stages (DMA included) in network order,
-    /// plus the interconnect hand-offs (zero on one board); and the
-    /// on-board DMA words.
+    /// One image through `plan`: the head board's PS seconds
+    /// ([`ClusterPlan::ps_seconds`]); the PL seconds of the offloaded
+    /// stages (DMA included) in network order, plus the interconnect
+    /// hand-offs (zero on one board); and the on-board DMA words.
     fn of(plan: &ClusterPlan) -> Self {
-        let (ps, spec) = (plan.ps_model(), plan.spec());
-        let offloaded_cycles: u64 = plan
-            .target()
-            .layers()
-            .iter()
-            .map(|&layer| {
-                let stage = spec.plan(layer);
-                ps.stage_cycles(layer, stage.is_ode, stage.total_execs())
-            })
-            .sum();
         ImageTiming {
-            ps_seconds: plan
-                .cluster()
-                .head()
-                .ps_seconds(ps.spec_cycles(spec) - offloaded_cycles),
+            ps_seconds: plan.ps_seconds(),
             pl_seconds: plan.pl_seconds() + plan.transfer_seconds(),
             dma_words: plan.dma_words(),
         }

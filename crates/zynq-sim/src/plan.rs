@@ -403,9 +403,10 @@ impl DeploymentPlan {
         self.timing.total_w_pl
     }
 
-    /// Modelled PL seconds per image across all offloaded stages.
+    /// Modelled PL seconds per image across all offloaded stages; zero
+    /// on a PS-only plan (`+0.0`: an empty `f64` sum is `-0.0`).
     pub fn pl_seconds(&self) -> f64 {
-        self.stages().iter().map(|s| s.pl_seconds).sum()
+        self.stages().iter().fold(0.0, |acc, s| acc + s.pl_seconds)
     }
 
     /// Modelled PS seconds per image (total minus the PL share).
@@ -448,6 +449,20 @@ impl DeploymentPlan {
 mod tests {
     use super::*;
     use rodenet::Variant;
+
+    #[test]
+    fn ps_only_plan_has_positive_zero_pl_seconds() {
+        let spec = NetSpec::new(Variant::ResNet, 20);
+        let plan = plan_deployment(&spec, &PlanRequest::default()).expect("plans");
+        assert_eq!(plan.target(), OffloadTarget::None);
+        for pl in [plan.pl_seconds(), plan.cluster_plan().pl_seconds()] {
+            assert_eq!(pl, 0.0);
+            assert!(
+                pl.is_sign_positive(),
+                "PS-only plan reports {pl:?} PL seconds"
+            );
+        }
+    }
 
     #[test]
     fn default_plan_matches_paper_row() {

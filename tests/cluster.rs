@@ -30,6 +30,42 @@ fn two_arty() -> Cluster {
     Cluster::homogeneous(&ARTY_Z7_20, 2, Interconnect::GIGABIT_ETHERNET)
 }
 
+/// A rack engine's runs report exactly the plan's PS seconds — the head
+/// board's integer cycles converted once — for every feasible target.
+#[test]
+fn rack_runs_report_the_plans_ps_seconds_bit_for_bit() {
+    for (variant, depth) in [
+        (Variant::ROdeNet3, 56),
+        (Variant::OdeNet, 20),
+        (Variant::Hybrid3, 56),
+    ] {
+        let net = Network::new(NetSpec::new(variant, depth).with_classes(10), 9);
+        for target in OffloadTarget::ALL {
+            let Ok(engine) = Engine::builder(&net)
+                .cluster(two_arty())
+                .offload(Offload::Target(target))
+                .build()
+            else {
+                continue;
+            };
+            let plan = engine.cluster_plan().expect("rack engines keep their plan");
+            let run = engine.infer(&image(1)).expect("runs");
+            assert_eq!(
+                plan.ps_seconds().to_bits(),
+                run.ps_seconds.to_bits(),
+                "{variant}-{depth} at {target:?}: plan {} vs run {}",
+                plan.ps_seconds(),
+                run.ps_seconds
+            );
+            if (variant, target) == (Variant::Hybrid3, OffloadTarget::Layer32) {
+                // Summing the timeline's separately converted PS
+                // segments gave 1.1045480399999998 here.
+                assert_eq!(plan.ps_seconds(), 1.10454804);
+            }
+        }
+    }
+}
+
 /// The acceptance scenario end to end: plan → shard → validate →
 /// infer, with the numerics checked against a single-board reference.
 #[test]
