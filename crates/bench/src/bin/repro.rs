@@ -1801,8 +1801,8 @@ fn hotpath_cmd(flags: &Flags) {
             // core, the circuit's resident weights the Winograd route.
             let block = stage.blocks[0].quantize::<Q20>();
             let xc = concat_time_channel(&zq, Q20::ZERO);
-            let direct = || conv2d(&xc, block.w1.raw(), block.cfg1);
-            let resident = || conv2d_packed(&xc, &block.w1, block.cfg1);
+            let direct = || conv2d(&xc, block.w1.raw(), block.w1.params());
+            let resident = || conv2d_packed(&xc, &block.w1);
             assert_eq!(
                 direct().as_slice(),
                 resident().as_slice(),

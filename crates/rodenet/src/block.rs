@@ -364,12 +364,10 @@ impl ResBlock {
             stride: self.stride,
             in_ch: self.in_ch,
             out_ch: self.out_ch,
-            w1: ConvWeights::new(Tensor::from_f32_tensor(&self.conv1.w)),
-            cfg1: self.conv1.cfg,
+            w1: ConvWeights::new(Tensor::from_f32_tensor(&self.conv1.w), self.conv1.cfg),
             gamma1: qv(&self.bn1.gamma),
             beta1: qv(&self.bn1.beta),
-            w2: ConvWeights::new(Tensor::from_f32_tensor(&self.conv2.w)),
-            cfg2: self.conv2.cfg,
+            w2: ConvWeights::new(Tensor::from_f32_tensor(&self.conv2.w), self.conv2.cfg),
             gamma2: qv(&self.bn2.gamma),
             beta2: qv(&self.bn2.beta),
             eps: S::from_f32(self.bn1.eps),
@@ -404,18 +402,16 @@ pub struct QuantBlock<S: Scalar> {
     pub in_ch: usize,
     /// Output channels.
     pub out_ch: usize,
-    /// Quantized conv1 weights, packed once for the fixed-point conv.
+    /// Quantized conv1 weights, packed once for the fixed-point conv at
+    /// conv1's stride/pad.
     pub w1: ConvWeights<S>,
-    /// conv1 stride/pad.
-    pub cfg1: Conv2dParams,
     /// Quantized BN1 γ.
     pub gamma1: Vec<S>,
     /// Quantized BN1 β.
     pub beta1: Vec<S>,
-    /// Quantized conv2 weights, packed once for the fixed-point conv.
+    /// Quantized conv2 weights, packed once for the fixed-point conv at
+    /// conv2's stride/pad.
     pub w2: ConvWeights<S>,
-    /// conv2 stride/pad.
-    pub cfg2: Conv2dParams,
     /// Quantized BN2 γ.
     pub gamma2: Vec<S>,
     /// Quantized BN2 β.
@@ -432,7 +428,7 @@ impl<S: Scalar> QuantBlock<S> {
         } else {
             z.clone()
         };
-        let c1 = conv2d_packed(&zc, &self.w1, self.cfg1);
+        let c1 = conv2d_packed(&zc, &self.w1);
         let b1 = bn_onthefly(&c1, &self.gamma1, &self.beta1, self.eps);
         let r = relu(&b1);
         let rc = if self.time_aug {
@@ -440,7 +436,7 @@ impl<S: Scalar> QuantBlock<S> {
         } else {
             r
         };
-        let c2 = conv2d_packed(&rc, &self.w2, self.cfg2);
+        let c2 = conv2d_packed(&rc, &self.w2);
         bn_onthefly(&c2, &self.gamma2, &self.beta2, self.eps)
     }
 

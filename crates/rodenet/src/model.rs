@@ -531,8 +531,10 @@ impl Network {
         QuantNetwork {
             spec: self.spec,
             pre: QuantPre {
-                w: tensor::conv::ConvWeights::new(Tensor::from_f32_tensor(&self.pre.conv.w)),
-                cfg: self.pre.conv.cfg,
+                w: tensor::conv::ConvWeights::new(
+                    Tensor::from_f32_tensor(&self.pre.conv.w),
+                    self.pre.conv.cfg,
+                ),
                 gamma: qv(&self.pre.bn.gamma),
                 beta: qv(&self.pre.bn.beta),
                 eps: S::from_f32(self.pre.bn.eps),

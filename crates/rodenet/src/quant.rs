@@ -13,7 +13,7 @@
 use crate::arch::{LayerName, LayerPlan, NetSpec};
 use crate::block::QuantBlock;
 use tensor::bn::bn_onthefly;
-use tensor::conv::{conv2d_packed, Conv2dParams, ConvWeights};
+use tensor::conv::{conv2d_packed, ConvWeights};
 use tensor::linear::fc_forward_s;
 use tensor::ops::relu;
 use tensor::pool::global_avg_pool;
@@ -23,10 +23,8 @@ use tensor::{Scalar, Tensor};
 #[derive(Clone, Debug)]
 pub struct QuantPre<S: Scalar> {
     /// Quantized convolution weights `(16, 3, 3, 3)`, packed once for
-    /// the fixed-point conv.
+    /// the fixed-point conv at its stride/padding.
     pub w: ConvWeights<S>,
-    /// Stride/padding.
-    pub cfg: Conv2dParams,
     /// Quantized BN scale.
     pub gamma: Vec<S>,
     /// Quantized BN shift.
@@ -38,7 +36,7 @@ pub struct QuantPre<S: Scalar> {
 impl<S: Scalar> QuantPre<S> {
     /// conv1 forward (on-the-fly statistics, as the PL computes them).
     pub fn forward(&self, x: &Tensor<S>) -> Tensor<S> {
-        let c = conv2d_packed(x, &self.w, self.cfg);
+        let c = conv2d_packed(x, &self.w);
         relu(&bn_onthefly(&c, &self.gamma, &self.beta, self.eps))
     }
 }

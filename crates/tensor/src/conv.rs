@@ -50,12 +50,13 @@
 //!
 //! The fixed-point layout follows the circuit. The weights are packed
 //! once, as the PL loads them into BRAM once: a [`ConvWeights`] holds
-//! one packed form beside the raw tensor — the Winograd rows below where
-//! they apply, otherwise the offset-binary rows and row sums of the
-//! direct core — and [`conv2d_packed`] reuses it on every call
-//! (`rodenet`'s quantized blocks build theirs when they are quantized;
-//! [`conv2d`] packs direct rows per call, and so does the direct
-//! fallback of weights holding Winograd rows). The input is never
+//! the conv's geometry and one packed form beside the raw tensor — the
+//! Winograd rows below for a 3×3 / pad 1 / stride 1 conv where they
+//! apply, otherwise the offset-binary rows and row sums of the direct
+//! core — and [`conv2d_packed`] reuses it on every call (`rodenet`'s
+//! quantized blocks build theirs when they are quantized; [`conv2d`]
+//! packs direct rows per call, and so does the direct fallback of
+//! weights holding Winograd rows). The input is never
 //! expanded into an im2col matrix: it is flipped once into a copy with a
 //! one-pixel border of flipped zeros (`0x8000_0000`), and each output
 //! pixel's `C×3×3` window is gathered from it straight into the
@@ -87,9 +88,9 @@
 //! so the weights are checked once, at pack time (`9·max|w_raw| < 2^31`);
 //! a `V` word sums at most 4 inputs, so each call checks its input
 //! (`max|x_raw| < 2^29`, i.e. `|x| < 512` in Q20). Weights that fail
-//! their check keep direct rows. Stride 2, odd extents and inputs past
-//! the bound take the direct core ([`conv2d_winograd`] is the route on
-//! its own, `None` where it does not apply).
+//! their check keep direct rows, and so do stride-2 weights. Odd extents
+//! and inputs past the bound take the direct core ([`conv2d_winograd`]
+//! is the route on its own, `None` where it does not apply).
 //!
 //! The equivalence is pinned by unit tests here, proptests in
 //! `tensor/tests/props.rs` across shapes × strides × scalar types
@@ -171,36 +172,33 @@ pub fn conv2d<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams) -> Tenso
     conv2d_with(x, w, None, p)
 }
 
-/// [`conv2d`] with weights packed once, ahead of the call — the software
-/// image of the circuit's BRAM-resident weights. It takes the Winograd
-/// route ([`conv2d_winograd`]) where that applies and otherwise routes
-/// exactly as [`conv2d`] does; [`set_force_reference`] pins the
+/// [`conv2d`] with weights packed once, ahead of the call, at the
+/// geometry they were packed for ([`ConvWeights::params`]) — the
+/// software image of the circuit's BRAM-resident weights. It takes the
+/// Winograd route ([`conv2d_winograd`]) where that applies and otherwise
+/// routes exactly as [`conv2d`] does; [`set_force_reference`] pins the
 /// reference kernel on the raw weights.
-pub fn conv2d_packed<S: Scalar>(x: &Tensor<S>, w: &ConvWeights<S>, p: Conv2dParams) -> Tensor<S> {
+pub fn conv2d_packed<S: Scalar>(x: &Tensor<S>, w: &ConvWeights<S>) -> Tensor<S> {
     if force_reference() {
-        return conv2d_reference(x, &w.raw, p);
+        return conv2d_reference(x, &w.raw, w.params);
     }
-    if let Some(out) = conv2d_winograd(x, w, p) {
+    if let Some(out) = conv2d_winograd(x, w) {
         return out;
     }
     let direct = match &w.packed {
         Some(Packed::Direct(rows)) => Some(rows),
         _ => None,
     };
-    conv2d_with(x, &w.raw, direct, p)
+    conv2d_with(x, &w.raw, direct, w.params)
 }
 
 /// The Winograd F(2×2,3×3) route of [`conv2d_packed`] on its own
 /// (see the module docs), bit-identical to [`conv2d_reference`], or
 /// `None` where it does not apply: weights without Winograd rows (f32,
-/// kernels other than 3×3, weights past `9·max|w_raw| < 2^31`, formats
-/// whose `acc_finish` reads past bit 61), a geometry other than 3×3 /
-/// pad 1 / stride 1, an odd extent, or an input past `max|x_raw| < 2^29`.
-pub fn conv2d_winograd<S: Scalar>(
-    x: &Tensor<S>,
-    w: &ConvWeights<S>,
-    p: Conv2dParams,
-) -> Option<Tensor<S>> {
+/// a geometry other than 3×3 / pad 1 / stride 1, weights past
+/// `9·max|w_raw| < 2^31`, formats whose `acc_finish` reads past bit
+/// 61), an odd extent, or an input past `max|x_raw| < 2^29`.
+pub fn conv2d_winograd<S: Scalar>(x: &Tensor<S>, w: &ConvWeights<S>) -> Option<Tensor<S>> {
     let (Some(fp), Some(Packed::Winograd(u))) = (S::FIXED_POINT, &w.packed) else {
         return None;
     };
@@ -210,10 +208,10 @@ pub fn conv2d_winograd<S: Scalar>(
             .iter()
             .all(|&v| (fp.bits)(v).unsigned_abs() < X_BOUND)
     };
-    if p != Conv2dParams::same_3x3() || xs.h % 2 == 1 || xs.w % 2 == 1 || !fits() {
+    if xs.h % 2 == 1 || xs.w % 2 == 1 || !fits() {
         return None;
     }
-    let mut out = Tensor::<S>::zeros(conv2d_out_shape(xs, w.raw.shape(), p));
+    let mut out = Tensor::<S>::zeros(conv2d_out_shape(xs, w.raw.shape(), w.params));
     if xs.c > 0 {
         winograd_3x3(x, u, fp, &mut out);
     }
@@ -236,12 +234,13 @@ fn conv2d_with<S: Scalar>(
 }
 
 /// Convolution weights prepared once for the fast path: the raw tensor,
-/// which the reference kernel and the f32 GEMM read, and, for a
-/// fixed-point [`Scalar`], the one packed form the fixed-point core reads
-/// on every call (see the module docs).
+/// which the reference kernel and the f32 GEMM read, the conv's stride
+/// and padding, and, for a fixed-point [`Scalar`], the one packed form
+/// the fixed-point core reads on every call (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ConvWeights<S: Scalar> {
     raw: Tensor<S>,
+    params: Conv2dParams,
     packed: Option<Packed>,
 }
 
@@ -257,18 +256,34 @@ enum Packed {
 }
 
 impl<S: Scalar> ConvWeights<S> {
-    /// Pack `raw`, shaped `(O, I, K, K)`.
-    pub fn new(raw: Tensor<S>) -> Self {
-        let packed = S::FIXED_POINT.map(|fp| match winograd_rows(&raw, fp) {
-            Some(u) => Packed::Winograd(u),
-            None => Packed::Direct(direct_rows(&raw, fp)),
+    /// Pack `raw`, shaped `(O, I, K, K)`, for a conv at `params`: the
+    /// Winograd rows where they apply (3×3 / pad 1 / stride 1), the
+    /// direct rows otherwise.
+    pub fn new(raw: Tensor<S>, params: Conv2dParams) -> Self {
+        let packed = S::FIXED_POINT.map(|fp| {
+            let winograd = (params == Conv2dParams::same_3x3())
+                .then(|| winograd_rows(&raw, fp))
+                .flatten();
+            match winograd {
+                Some(u) => Packed::Winograd(u),
+                None => Packed::Direct(direct_rows(&raw, fp)),
+            }
         });
-        ConvWeights { raw, packed }
+        ConvWeights {
+            raw,
+            params,
+            packed,
+        }
     }
 
     /// The weights as given.
     pub fn raw(&self) -> &Tensor<S> {
         &self.raw
+    }
+
+    /// The stride and padding the weights were packed for.
+    pub fn params(&self) -> Conv2dParams {
+        self.params
     }
 }
 
@@ -1236,11 +1251,8 @@ mod tests {
             let reference = conv2d_reference(&x, &w, p);
             assert_eq!(reference.shape(), Shape4::new(2, 3, 5, 4));
             assert_eq!(conv2d(&x, &w, p).as_slice(), reference.as_slice());
-            let packed = ConvWeights::new(w);
-            assert_eq!(
-                conv2d_packed(&x, &packed, p).as_slice(),
-                reference.as_slice()
-            );
+            let packed = ConvWeights::new(w, p);
+            assert_eq!(conv2d_packed(&x, &packed).as_slice(), reference.as_slice());
         }
         check::<f32>();
         check::<Q20>();
@@ -1262,7 +1274,7 @@ mod tests {
             Tensor::<Q20>::from_f32_tensor(&x),
             Tensor::<Q20>::from_f32_tensor(&w),
         );
-        let mut stale = ConvWeights::new(wq.clone());
+        let mut stale = ConvWeights::new(wq.clone(), p);
         match stale
             .packed
             .as_mut()
@@ -1274,16 +1286,37 @@ mod tests {
         set_force_reference(true);
         assert!(force_reference());
         let slow = conv2d(&x, &w, p);
-        let routed = conv2d_packed(&xq, &stale, p);
+        let routed = conv2d_packed(&xq, &stale);
         set_force_reference(false);
         assert!(!force_reference());
         assert_eq!(fast.as_slice(), slow.as_slice());
         let reference = conv2d_reference(&xq, &wq, p);
         assert_eq!(routed.as_slice(), reference.as_slice());
-        assert_ne!(
-            conv2d_packed(&xq, &stale, p).as_slice(),
-            reference.as_slice()
-        );
+        assert_ne!(conv2d_packed(&xq, &stale).as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn stride2_weights_hold_the_direct_rows_they_read() {
+        // Stride-2 weights pack the direct core's rows, not Winograd
+        // rows the route would never take, and every call reads them:
+        // zeroed, the output changes; intact, it is the reference.
+        fn check<S: Scalar>() {
+            let x = Tensor::<S>::from_f32_tensor(&seq_tensor(Shape4::new(1, 2, 6, 6), 0.3));
+            let w = Tensor::<S>::from_f32_tensor(&seq_tensor(Shape4::new(3, 2, 3, 3), 0.2));
+            let p = Conv2dParams::down_3x3();
+            let packed = ConvWeights::new(w.clone(), p);
+            assert_eq!(packed.params(), p);
+            let reference = conv2d_reference(&x, &w, p);
+            assert_eq!(conv2d_packed(&x, &packed).as_slice(), reference.as_slice());
+            let mut stale = packed.clone();
+            match stale.packed.as_mut() {
+                Some(Packed::Direct(rows)) => rows.rows.fill(0),
+                other => panic!("stride-2 weights hold {other:?}"),
+            }
+            assert_ne!(conv2d_packed(&x, &stale).as_slice(), reference.as_slice());
+        }
+        check::<Q20>();
+        check::<qfixed::Fix16<10>>();
     }
 
     #[test]
@@ -1294,10 +1327,10 @@ mod tests {
             let p = Conv2dParams::same_3x3();
             let w = Tensor::<S>::from_f32_tensor(&seq_tensor(Shape4::new(3, 2, 3, 3), scale));
             let x = Tensor::<S>::from_f32_tensor(&seq_tensor(Shape4::new(1, 2, 4, 4), scale));
-            let packed = ConvWeights::new(w.clone());
-            assert!(conv2d_winograd(&x, &packed, p).is_none());
+            let packed = ConvWeights::new(w.clone(), p);
+            assert!(conv2d_winograd(&x, &packed).is_none());
             assert_eq!(
-                conv2d_packed(&x, &packed, p).as_slice(),
+                conv2d_packed(&x, &packed).as_slice(),
                 conv2d_reference(&x, &w, p).as_slice()
             );
         }

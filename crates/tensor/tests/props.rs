@@ -161,11 +161,11 @@ fn packed_reference_routed<S: Scalar>(
     w: &Tensor<S>,
     p: Conv2dParams,
 ) -> (Tensor<S>, Tensor<S>, bool) {
-    let packed = ConvWeights::new(w.clone());
+    let packed = ConvWeights::new(w.clone(), p);
     (
-        conv2d_packed(x, &packed, p),
+        conv2d_packed(x, &packed),
         conv2d_reference(x, w, p),
-        conv2d_winograd(x, &packed, p).is_some(),
+        conv2d_winograd(x, &packed).is_some(),
     )
 }
 
@@ -181,8 +181,8 @@ fn packed_and_reference<S: Scalar>(
         Tensor::<S>::from_f32_tensor(x),
         Tensor::<S>::from_f32_tensor(w),
     );
-    let packed = ConvWeights::new(w.clone());
-    (conv2d_packed(&x, &packed, p), conv2d_reference(&x, &w, p))
+    let packed = ConvWeights::new(w.clone(), p);
+    (conv2d_packed(&x, &packed), conv2d_reference(&x, &w, p))
 }
 
 fn weights_for(c: usize) -> impl Strategy<Value = Tensor<f32>> {
@@ -330,7 +330,7 @@ proptest! {
         // extreme); its sums never wrap, but saturate at write-back.
         let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
-        let packed = conv2d_packed(&x, &ConvWeights::new(w.clone()), p);
+        let packed = conv2d_packed(&x, &ConvWeights::new(w.clone(), p));
         prop_assert_eq!(packed.as_slice(), reference.as_slice());
         let q16 = |t: &Tensor<Q20>| t.map(|v| Q16::from_bits(v.to_bits()));
         let (x16, w16) = (q16(&x), q16(&w));
@@ -340,7 +340,7 @@ proptest! {
         let (x, w) = (fix16(&x), fix16(&w));
         let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
-        let packed = conv2d_packed(&x, &ConvWeights::new(w.clone()), p);
+        let packed = conv2d_packed(&x, &ConvWeights::new(w.clone(), p));
         prop_assert_eq!(packed.as_slice(), reference.as_slice());
     }
 

@@ -65,7 +65,7 @@
 
 use crate::board::Board;
 use crate::engine::{EngineError, Offload};
-use crate::partition::{partition_with, select_with, shard_infeasible, Partitioner};
+use crate::partition::{partition_with, resource_busy, select_with, shard_infeasible, Partitioner};
 use crate::plan::PlannedStage;
 use crate::planner::OffloadTarget;
 use crate::precision::StageFormats;
@@ -306,9 +306,10 @@ pub struct BoardShard {
 /// remaining board makes the whole placement infeasible — the returned
 /// [`EngineError::ShardInfeasible`] names that layer and the board
 /// capacities consulted; a degenerate format is a typed
-/// [`EngineError::UnsupportedFormat`], never a panic. This is
-/// [`Partitioner::FirstFit`]; see [`crate::partition`] for the
-/// cost-driven alternative.
+/// [`EngineError::UnsupportedFormat`], and hardware no timing model can
+/// price (a zero clock, conv_x0) an [`EngineError::InvalidHardware`],
+/// never a panic. This is [`Partitioner::FirstFit`]; see
+/// [`crate::partition`] for the cost-driven alternative.
 pub fn shard_placement(
     target: OffloadTarget,
     cluster: &Cluster,
@@ -316,8 +317,26 @@ pub fn shard_placement(
     formats: &StageFormats,
 ) -> Result<ShardAssignment, EngineError> {
     formats.validate()?;
-    let infeasible =
-        |stuck: LayerName| shard_infeasible(target, cluster, parallelism, formats, Some(stuck));
+    cluster.validate()?;
+    PlModel { parallelism }.validate()?;
+    first_fit(target, cluster.boards(), parallelism, formats)
+        .map_err(|stuck| shard_infeasible(target, cluster, parallelism, formats, Some(stuck)))
+}
+
+/// The first-fit loop: each layer of `target` joins the current
+/// board's shard until it no longer fits, then the next board opens.
+/// `Err` names the layer that fit no remaining board. It builds no
+/// error itself, so the [`EngineError::ShardInfeasible`] hint can probe
+/// a grown rack with it without recursing into the diagnosis.
+pub(crate) fn first_fit(
+    target: OffloadTarget,
+    boards: &[Board],
+    parallelism: usize,
+    formats: &StageFormats,
+) -> Result<ShardAssignment, LayerName> {
+    let shard = |layers: &[LayerName]| {
+        OffloadTarget::from_layers(layers).expect("subsets of a placement are placements")
+    };
     let mut shards: ShardAssignment = Vec::new();
     let mut board = 0usize;
     let mut current: Vec<LayerName> = Vec::new();
@@ -325,27 +344,23 @@ pub fn shard_placement(
         loop {
             let mut candidate = current.clone();
             candidate.push(layer);
-            let t = OffloadTarget::from_layers(&candidate).ok_or_else(|| infeasible(layer))?;
-            if t.fits(&cluster.boards()[board], parallelism, formats) {
+            if shard(&candidate).fits(&boards[board], parallelism, formats) {
                 current = candidate;
                 break;
             }
-            // Close the current shard and try the next board; a layer
-            // that does not fit an *empty* board fits nowhere.
+            // Close the current shard and try the layer on the next board.
             if !current.is_empty() {
-                let t = OffloadTarget::from_layers(&current).expect("validated above");
-                shards.push((board, t));
+                shards.push((board, shard(&current)));
                 current.clear();
             }
             board += 1;
-            if board >= cluster.len() {
-                return Err(infeasible(layer));
+            if board >= boards.len() {
+                return Err(layer);
             }
         }
     }
     if !current.is_empty() {
-        let t = OffloadTarget::from_layers(&current).expect("validated above");
-        shards.push((board, t));
+        shards.push((board, shard(&current)));
     }
     Ok(shards)
 }
@@ -497,10 +512,7 @@ pub(crate) fn resolve_placement(
             }
             Ok((t, partition_with(spec, t, req)?))
         }
-        Offload::Auto | Offload::AutoExtended => {
-            let extended = req.offload == Offload::AutoExtended;
-            Ok(select_with(spec, req, extended))
-        }
+        Offload::Auto | Offload::AutoExtended => Ok(select_with(spec, req)),
     }
 }
 
@@ -610,20 +622,10 @@ pub fn per_image_seconds(timeline: &[StageTiming]) -> f64 {
 /// one board's busy time. `images × bottleneck` asymptotically
 /// lower-bounds every schedule.
 pub fn bottleneck_seconds(timeline: &[StageTiming]) -> f64 {
-    let slots = timeline
-        .iter()
-        .flat_map(|s| s.resources())
-        .map(|r| r.slot())
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut busy = vec![0.0f64; slots];
-    for s in timeline {
-        let share = s.seconds / s.replica_count() as f64;
-        for r in s.resources() {
-            busy[r.slot()] += share;
-        }
-    }
-    busy.into_iter().fold(0.0, f64::max)
+    resource_busy(timeline)
+        .into_iter()
+        .map(|(_, busy)| busy)
+        .fold(0.0, f64::max)
 }
 
 /// Makespan of the additive schedule: images strictly one at a time.
@@ -730,7 +732,7 @@ pub fn pipelined_schedule_released_traced(
         rec.commit(&span, timeline[span.stage].transfer_in > 0.0)
     });
     let images = releases.len();
-    let utilization = crate::partition::resource_busy(timeline)
+    let utilization = resource_busy(timeline)
         .into_iter()
         .map(|(resource, busy)| {
             let util = if run.makespan > 0.0 {
@@ -944,7 +946,7 @@ impl ClusterPlan {
     /// for one image — the per-board breakdown the partitioner
     /// optimized (see [`crate::partition::resource_busy`]).
     pub fn resource_busy(&self) -> Vec<(StageResource, f64)> {
-        crate::partition::resource_busy(&self.timeline)
+        resource_busy(&self.timeline)
     }
 
     /// The pipeline's bottleneck: the largest per-image busy time of

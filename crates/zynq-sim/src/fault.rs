@@ -573,7 +573,7 @@ fn add_busy(busy: &mut Vec<(StageResource, f64)>, resource: StageResource, secon
 /// is. Consecutive equal releases are one batch (dispatch instants
 /// strictly increase), and each batch's arrivals precede its dispatch
 /// — the queue's push-before-drain order, so the depth series peaks at
-/// `AdmissionQueue::peak()`.
+/// the largest batch, the release plan's `queue_peak`.
 fn replay_batches(rec: &mut Recorder, avails: &[f64], releases: &[f64], until: f64) -> usize {
     let mut batches = 0usize;
     let mut i = 0usize;

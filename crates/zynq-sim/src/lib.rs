@@ -122,8 +122,8 @@ pub use precision::{Precision, StageFormats};
 pub use replica::{restage_seconds, ReplicaPlan, Replication};
 pub use resources::{ode_block_resources, ResourceReport};
 pub use serve::{
-    AdmissionQueue, ArrivalProcess, Dispatch, LoadPoint, LoadSweep, MicroBatcher, ServeReport,
-    ServeRequest, Window, WindowReport,
+    ArrivalProcess, Dispatch, LoadPoint, LoadSweep, MicroBatcher, ServeReport, ServeRequest,
+    Window, WindowReport,
 };
 pub use timing::{table5_row, PlModel, PsModel, Table5Row};
 pub use trace::{

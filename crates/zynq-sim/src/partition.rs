@@ -38,23 +38,29 @@
 //!
 //! The search space is assignments of layers to boards. With the
 //! replica layer ([`crate::replica`]) an assignment may map one layer
-//! to **several** boards: [`replicated_assignment`](self) runs the
-//! same exhaustive enumeration jointly with the choice of replica
-//! boards (pruned by the same busy bound, with the replicated stage's
-//! busy divided by its replica count), because the best unreplicated
-//! base is often *not* the best host for replicas — at Q20 a
-//! replicated layer must co-reside with whatever the 140-BRAM
-//! layer3_2 board cannot take. The cost model inherits the cluster
-//! scheduler's assumptions: the head PS runs every software stage,
-//! transfers occupy no compute resource. Like sharding itself,
-//! partitioning changes *where* and *when* stages run — never the
-//! Q-format numerics — so logits are bit-identical across partitioners
-//! for the same resolved placement.
+//! to **several** boards. Both cases run **one** exhaustive
+//! enumeration (`best_assignment`): its outer loop walks the sets of
+//! replica boards (only the empty set when nothing is replicated), its
+//! inner loop every board for each remaining layer, and each candidate
+//! is checked for fit, pruned by one busy bound (a replicated stage
+//! charges each host `1/k` of its seconds) and scored by the
+//! reference-batch makespan. The replica boards are chosen jointly with
+//! the rest because the best unreplicated base is often *not* the best
+//! host for replicas — at Q20 a replicated layer must co-reside with
+//! whatever the 140-BRAM layer3_2 board cannot take. First-fit, and
+//! the shard-infeasibility hint's probe of a rack grown by one board,
+//! share one first-fit loop (behind [`crate::cluster::shard_placement`]).
+//!
+//! The cost model inherits the cluster scheduler's assumptions: the
+//! head PS runs every software stage, transfers occupy no compute
+//! resource. Like sharding itself, partitioning changes *where* and
+//! *when* stages run — never the Q-format numerics — so logits are
+//! bit-identical across partitioners for the same resolved placement.
 
 use crate::board::Board;
 use crate::cluster::{
-    build_timeline, per_image_seconds, pipelined_schedule, shard_placement, Cluster,
-    ClusterRequest, Interconnect, Schedule, ShardAssignment, StageResource, StageTiming,
+    build_timeline, first_fit, per_image_seconds, pipelined_schedule, Cluster, ClusterRequest,
+    Interconnect, Schedule, ShardAssignment, StageResource, StageTiming,
 };
 use crate::engine::{EngineError, Offload};
 use crate::planner::OffloadTarget;
@@ -132,27 +138,46 @@ pub fn board_stage_seconds(timeline: &[StageTiming], board: usize) -> f64 {
 /// Split `target`'s layers across the request's cluster under the
 /// request's [`Partitioner`]. The public entry point for callers that
 /// already resolved a placement; [`crate::cluster::plan_cluster`] goes
-/// through here for [`Offload::Target`](crate::engine::Offload).
+/// through here for [`Offload::Target`](crate::engine::Offload). Like
+/// `plan_cluster`, it rejects a degenerate format and hardware no
+/// timing model can price (a zero clock, conv_x0) before searching.
 pub fn partition_placement(
     spec: &NetSpec,
     target: OffloadTarget,
     req: &ClusterRequest,
 ) -> Result<ShardAssignment, EngineError> {
     req.precision.validate()?;
+    req.cluster.validate()?;
+    req.pl.validate()?;
     partition_with(spec, target, req)
 }
 
-/// [`partition_placement`] with the precision table already validated.
+/// [`partition_placement`] with the request already validated.
 pub(crate) fn partition_with(
     spec: &NetSpec,
     target: OffloadTarget,
     req: &ClusterRequest,
 ) -> Result<ShardAssignment, EngineError> {
+    let (cluster, parallelism, formats) = (&req.cluster, req.pl.parallelism, &req.precision);
     match req.partitioner {
-        Partitioner::FirstFit => {
-            shard_placement(target, &req.cluster, req.pl.parallelism, &req.precision)
+        Partitioner::FirstFit => first_fit(target, cluster.boards(), parallelism, formats)
+            .map_err(|stuck| shard_infeasible(target, cluster, parallelism, formats, Some(stuck))),
+        Partitioner::BalancedMakespan => {
+            best_assignment(spec, req, target.layers(), None).ok_or_else(|| {
+                // Diagnose holistically: the first layer no board fits
+                // alone is the definitive blocker; when every layer fits
+                // somewhere but no joint assignment exists, there is no
+                // single culprit.
+                let stuck = target.layers().iter().copied().find(|&layer| {
+                    let alone = OffloadTarget::from_layers(&[layer]).expect("offloadable");
+                    !cluster
+                        .boards()
+                        .iter()
+                        .any(|b| alone.fits(b, parallelism, formats))
+                });
+                shard_infeasible(target, cluster, parallelism, formats, stuck)
+            })
         }
-        Partitioner::BalancedMakespan => balanced_assignment(spec, target, req),
     }
 }
 
@@ -178,11 +203,13 @@ pub(crate) fn reference_makespan(timeline: &[StageTiming], schedule: Schedule) -
 /// [`Partitioner::BalancedMakespan`], so the target-level choice and
 /// the assignment-level search optimize the same objective.
 /// [`OffloadTarget::None`] always partitions, so a selection exists.
+/// [`Offload::AutoExtended`] widens the candidates to
+/// [`OffloadTarget::applicable_extended`].
 pub(crate) fn select_with(
     spec: &NetSpec,
     req: &ClusterRequest,
-    extended: bool,
 ) -> (OffloadTarget, ShardAssignment) {
+    let extended = req.offload == Offload::AutoExtended;
     let mut best: Option<((f64, f64), OffloadTarget, ShardAssignment)> = None;
     for t in OffloadTarget::ALL {
         let ok = if extended {
@@ -239,110 +266,114 @@ pub(crate) fn select_single_board(
         partitioner: Partitioner::FirstFit,
         replication: crate::replica::Replication::None,
     };
-    select_with(spec, &req, extended).0
+    select_with(spec, &req).0
 }
 
-/// Exhaustive balanced search (see [`Partitioner::BalancedMakespan`]).
-fn balanced_assignment(
+/// The one exhaustive search behind [`Partitioner::BalancedMakespan`],
+/// with or without a replicated stage. The outer loop walks the
+/// replica-host subsets — every set of `k` boards, ascending by
+/// bitmask, whose fabrics serve the replicated layer at exactly the
+/// same modelled seconds (round-robin assumes interchangeable
+/// replicas); with nothing replicated it runs once, over the empty
+/// set. The inner loop assigns each of `layers` to one board: base-n
+/// digit `i` of the code (least significant first) is the board of
+/// `layers[i]`, so code 0 — everything on the head — comes first.
+/// Each candidate is checked with [`OffloadTarget::fits`], pruned by
+/// the busy bound (the busiest board alone needs ≥ B × its per-image
+/// PL busy, a replica host carrying `1/k` of the replicated stage),
+/// then scored by [`reference_makespan`] with per-image latency
+/// breaking ties; only a strict improvement replaces the incumbent, so
+/// enumeration order decides the rest. `None` when no candidate fits.
+fn best_assignment(
     spec: &NetSpec,
-    target: OffloadTarget,
     req: &ClusterRequest,
-) -> Result<ShardAssignment, EngineError> {
-    let layers = target.layers();
-    if layers.is_empty() {
-        return Ok(ShardAssignment::new());
-    }
+    layers: &[LayerName],
+    replica: Option<(LayerName, usize)>,
+) -> Option<ShardAssignment> {
     let boards = req.cluster.boards();
     let n = boards.len();
+    let k = replica.map_or(0, |(_, k)| k);
+    let subsets: u64 = if k == 0 { 1 } else { 1 << n };
     let mut best: Option<(f64, f64, ShardAssignment)> = None;
-    // Candidate `code` encodes the board of layers[i] in base-n digit i
-    // (least significant first), so code 0 — everything on the head —
-    // is enumerated first and strict improvement keeps determinism.
-    for code in 0..n.pow(layers.len() as u32) {
-        let mut groups: Vec<Vec<LayerName>> = vec![Vec::new(); n];
-        let mut c = code;
-        for &layer in layers {
-            groups[c % n].push(layer);
-            c /= n;
-        }
-        let mut assignment = ShardAssignment::new();
-        let mut feasible = true;
-        for (b, group) in groups.iter().enumerate() {
-            if group.is_empty() {
+    for mask in (0..subsets).filter(|m| m.count_ones() as usize == k) {
+        let hosts: Vec<usize> = (0..u64::BITS as usize)
+            .filter(|&b| mask >> b & 1 == 1)
+            .collect();
+        if let Some((layer, _)) = replica {
+            let primary = stage_seconds(spec, req, layer, hosts[0]);
+            if hosts
+                .iter()
+                .any(|&b| stage_seconds(spec, req, layer, b) != primary)
+            {
                 continue;
             }
-            let t =
-                OffloadTarget::from_layers(group).expect("subsets of a placement are placements");
-            if !t.fits(&boards[b], req.pl.parallelism, &req.precision) {
-                feasible = false;
-                break;
+        }
+        'codes: for code in 0..n.pow(layers.len() as u32) {
+            let mut groups: Vec<Vec<LayerName>> = vec![Vec::new(); n];
+            let mut c = code;
+            for &layer in layers {
+                groups[c % n].push(layer);
+                c /= n;
             }
-            assignment.push((b, t));
-        }
-        if !feasible {
-            continue;
-        }
-        // Cheap lower bound before paying for the schedule simulation:
-        // under either schedule, the busiest board alone needs
-        // ≥ B × its per-image PL busy.
-        let bound = REFERENCE_BATCH as f64
-            * assignment
-                .iter()
-                .map(|(b, t)| {
+            let mut assignment = ShardAssignment::new();
+            let mut busiest = 0.0f64;
+            for (b, own) in groups.iter().enumerate() {
+                let hosted = replica.filter(|_| hosts.contains(&b));
+                let carried: Vec<LayerName> =
+                    own.iter().copied().chain(hosted.map(|(l, _)| l)).collect();
+                if carried.is_empty() {
+                    continue;
+                }
+                let t = OffloadTarget::from_layers(&carried)
+                    .expect("subsets of a placement are placements");
+                if !t.fits(&boards[b], req.pl.parallelism, &req.precision) {
+                    continue 'codes;
+                }
+                assignment.push((b, t));
+                // The busy bound's term: the board's own stages, then its
+                // share of the replicated one.
+                let unreplicated =
+                    OffloadTarget::from_layers(own).expect("subsets of a placement are placements");
+                let share = hosted.map_or(0.0, |(l, k)| stage_seconds(spec, req, l, b) / k as f64);
+                busiest = busiest.max(
                     req.pl
-                        .placement_seconds(spec, t, &boards[*b], &req.precision)
-                })
-                .fold(0.0f64, f64::max);
-        if best.as_ref().is_some_and(|(m, _, _)| bound > *m) {
-            continue;
-        }
-        let timeline = build_timeline(spec, &assignment, req);
-        let makespan = reference_makespan(&timeline, req.schedule);
-        let latency = per_image_seconds(&timeline);
-        if best
-            .as_ref()
-            .is_none_or(|(m, l, _)| makespan < *m || (makespan == *m && latency < *l))
-        {
-            best = Some((makespan, latency, assignment));
+                        .placement_seconds(spec, &unreplicated, &boards[b], &req.precision)
+                        + share,
+                );
+            }
+            // Cheap lower bound before paying for the schedule simulation.
+            if best
+                .as_ref()
+                .is_some_and(|(m, _, _)| REFERENCE_BATCH as f64 * busiest > *m)
+            {
+                continue;
+            }
+            let timeline = build_timeline(spec, &assignment, req);
+            let makespan = reference_makespan(&timeline, req.schedule);
+            let latency = per_image_seconds(&timeline);
+            if best
+                .as_ref()
+                .is_none_or(|(m, l, _)| makespan < *m || (makespan == *m && latency < *l))
+            {
+                best = Some((makespan, latency, assignment));
+            }
         }
     }
-    best.map(|(_, _, a)| a).ok_or_else(|| {
-        // Diagnose holistically: the first layer no board fits alone is
-        // the definitive blocker; when every layer fits somewhere but
-        // no joint assignment exists, there is no single culprit.
-        let stuck = layers.iter().copied().find(|&layer| {
-            let alone = OffloadTarget::from_layers(&[layer]).expect("offloadable");
-            !boards
-                .iter()
-                .any(|b| alone.fits(b, req.pl.parallelism, &req.precision))
-        });
-        shard_infeasible(
-            target,
-            &req.cluster,
-            req.pl.parallelism,
-            &req.precision,
-            stuck,
-        )
-    })
+    best.map(|(_, _, a)| a)
 }
 
-/// Exhaustive search over assignments that place `layer` on exactly
-/// `replicas` boards (round-robin served) and every other layer of
-/// `target` on exactly one — the replication-aware sibling of
-/// [`Partitioner::BalancedMakespan`]'s search, run **jointly** because
-/// the best unreplicated base often blocks the replicas (at Q20,
-/// whichever board holds the 140-BRAM layer3_2 has no fabric left, so
-/// the replicated layer must pack with the remaining stages).
-/// Candidates are pruned by the same busy bound with the replicated
-/// stage's per-board busy divided by `replicas`, scored by the
-/// reference-batch makespan under the request's schedule (per-image
-/// latency breaks ties, then enumeration order for determinism).
-/// Replica boards must agree **exactly** on the stage's modelled
-/// seconds — round-robin assumes interchangeable replicas — so boards
-/// that would serve the stage at a different speed are skipped. Under
-/// [`Partitioner::FirstFit`] the base assignment is first-fit and
-/// replicas go greedily onto the first boards (index order) with
-/// matching timing and spare fabric.
+/// Assign `target` with `layer` on exactly `replicas` boards
+/// (round-robin served) and every other layer on exactly one. Under
+/// [`Partitioner::BalancedMakespan`] this is [`best_assignment`] with
+/// `layer` replicated: the replica hosts are chosen **jointly** with
+/// the rest of the assignment, because the best unreplicated base
+/// often blocks the replicas (at Q20, whichever board holds the
+/// 140-BRAM layer3_2 has no fabric left, so the replicated layer must
+/// pack with the remaining stages). Replica boards must agree
+/// **exactly** on the stage's modelled seconds — round-robin assumes
+/// interchangeable replicas. Under [`Partitioner::FirstFit`] the base
+/// assignment is first-fit and replicas go greedily onto the first
+/// boards (index order) with matching timing and spare fabric.
 pub(crate) fn replicated_assignment(
     spec: &NetSpec,
     target: OffloadTarget,
@@ -369,13 +400,8 @@ pub(crate) fn replicated_assignment(
              (see the ROADMAP's scalable-search item)"
         )));
     }
-    let plan = spec.plan(layer);
-    let execs = if plan.is_ode { plan.execs } else { 1 };
-    let bytes = req.precision.bytes_of(layer);
-    let stage_seconds = |b: usize| -> f64 { req.pl.stage_seconds(layer, execs, &boards[b], bytes) };
-
     if req.partitioner == Partitioner::FirstFit {
-        let base = shard_placement(target, &req.cluster, req.pl.parallelism, &req.precision)?;
+        let base = partition_with(spec, target, req)?;
         let mut groups: Vec<Vec<LayerName>> = vec![Vec::new(); n];
         for (b, t) in &base {
             groups[*b].extend_from_slice(t.layers());
@@ -389,7 +415,9 @@ pub(crate) fn replicated_assignment(
             if carriers == replicas {
                 break;
             }
-            if b == primary || stage_seconds(b) != stage_seconds(primary) {
+            if b == primary
+                || stage_seconds(spec, req, layer, b) != stage_seconds(spec, req, layer, primary)
+            {
                 continue;
             }
             let mut candidate = groups[b].clone();
@@ -411,101 +439,30 @@ pub(crate) fn replicated_assignment(
         return Ok(assignment_from_groups(&groups));
     }
 
-    // BalancedMakespan: enumerate replica-board subsets (bitmask over
-    // boards, ascending, so determinism matches the unreplicated
-    // search) jointly with the base-n assignment of the other layers.
     let others: Vec<LayerName> = target
         .layers()
         .iter()
         .copied()
         .filter(|&l| l != layer)
         .collect();
-    let mut best: Option<(f64, f64, ShardAssignment)> = None;
-    for mask in 0u64..(1u64 << n) {
-        if mask.count_ones() as usize != replicas {
-            continue;
-        }
-        let hosts: Vec<usize> = (0..n).filter(|b| mask & (1 << b) != 0).collect();
-        if hosts
-            .iter()
-            .any(|&b| stage_seconds(b) != stage_seconds(hosts[0]))
-        {
-            continue;
-        }
-        for code in 0..n.pow(others.len() as u32) {
-            let mut groups: Vec<Vec<LayerName>> = vec![Vec::new(); n];
-            let mut c = code;
-            for &other in &others {
-                groups[c % n].push(other);
-                c /= n;
-            }
-            for &b in &hosts {
-                groups[b].push(layer);
-            }
-            let mut feasible = true;
-            for (b, group) in groups.iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let t = OffloadTarget::from_layers(group)
-                    .expect("subsets of a placement are placements");
-                if !t.fits(&boards[b], req.pl.parallelism, &req.precision) {
-                    feasible = false;
-                    break;
-                }
-            }
-            if !feasible {
-                continue;
-            }
-            let assignment = assignment_from_groups(&groups);
-            // The busy bound with replica sharing: the replicated stage
-            // charges each host 1/replicas of its seconds.
-            let bound = REFERENCE_BATCH as f64
-                * groups
-                    .iter()
-                    .enumerate()
-                    .map(|(b, group)| {
-                        group
-                            .iter()
-                            .map(|&l| {
-                                let p = spec.plan(l);
-                                let e = if p.is_ode { p.execs } else { 1 };
-                                let s = req.pl.stage_seconds(
-                                    l,
-                                    e,
-                                    &boards[b],
-                                    req.precision.bytes_of(l),
-                                );
-                                if l == layer {
-                                    s / replicas as f64
-                                } else {
-                                    s
-                                }
-                            })
-                            .sum::<f64>()
-                    })
-                    .fold(0.0f64, f64::max);
-            if best.as_ref().is_some_and(|(m, _, _)| bound > *m) {
-                continue;
-            }
-            let timeline = build_timeline(spec, &assignment, req);
-            let makespan = reference_makespan(&timeline, req.schedule);
-            let latency = per_image_seconds(&timeline);
-            if best
-                .as_ref()
-                .is_none_or(|(m, l, _)| makespan < *m || (makespan == *m && latency < *l))
-            {
-                best = Some((makespan, latency, assignment));
-            }
-        }
-    }
-    best.map(|(_, _, a)| a).ok_or_else(|| {
+    best_assignment(spec, req, &others, Some((layer, replicas))).ok_or_else(|| {
         infeasible(format!(
             "no assignment places {layer} on {replicas} of {n} board(s) with matching \
              timing while the rest of {target:?} still fits (try fewer replicas, a \
              narrower word format, or more boards)"
         ))
     })
+}
+
+/// Modelled seconds of `layer`'s PL stage on board `b` of the
+/// request's cluster (ODE stages repeat their solver steps, DMA
+/// included).
+fn stage_seconds(spec: &NetSpec, req: &ClusterRequest, layer: LayerName, b: usize) -> f64 {
+    let plan = spec.plan(layer);
+    let execs = if plan.is_ode { plan.execs } else { 1 };
+    let board = &req.cluster.boards()[b];
+    req.pl
+        .stage_seconds(layer, execs, board, req.precision.bytes_of(layer))
 }
 
 /// Collapse per-board layer groups into a [`ShardAssignment`] (boards
@@ -522,39 +479,6 @@ fn assignment_from_groups(groups: &[Vec<LayerName>]) -> ShardAssignment {
             )
         })
         .collect()
-}
-
-/// First-fit feasibility of `target` over `boards` — the probe behind
-/// the [`EngineError::ShardInfeasible`] hint. A plain boolean re-run of
-/// [`shard_placement`]'s loop that constructs no error (so probing
-/// an extended cluster cannot recurse back into the diagnosis).
-fn first_fit_feasible(
-    target: OffloadTarget,
-    boards: &[Board],
-    parallelism: usize,
-    formats: &StageFormats,
-) -> bool {
-    let mut board = 0usize;
-    let mut current: Vec<LayerName> = Vec::new();
-    for &layer in target.layers() {
-        loop {
-            let mut candidate = current.clone();
-            candidate.push(layer);
-            let Some(t) = OffloadTarget::from_layers(&candidate) else {
-                return false;
-            };
-            if t.fits(&boards[board], parallelism, formats) {
-                current = candidate;
-                break;
-            }
-            current.clear();
-            board += 1;
-            if board >= boards.len() {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Build the enriched [`EngineError::ShardInfeasible`]: which layer got
@@ -578,7 +502,7 @@ pub(crate) fn shard_infeasible(
             .max_by_key(|b| b.bram36)
             .expect("a cluster has at least one board");
         extended.push(biggest);
-        if first_fit_feasible(target, &extended, parallelism, formats) {
+        if first_fit(target, &extended, parallelism, formats).is_ok() {
             let bottleneck = stuck.or_else(|| target.layers().last().copied());
             Some(match bottleneck {
                 Some(l) => format!(
@@ -792,6 +716,42 @@ mod tests {
         assert!((total + transfers - per_image_seconds(&timeline)).abs() < 1e-12);
         let bneck = bottleneck_seconds(&timeline);
         assert!((busy.iter().fold(0.0f64, |m, (_, b)| m.max(*b)) - bneck).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hardware_no_model_can_price_is_rejected_before_searching() {
+        // A zero PL clock on the head, and a conv_x0 circuit: both
+        // public entry points must return the InvalidHardware that
+        // plan_cluster does — not a placement on a dead fabric, nor a
+        // ShardInfeasible blaming BRAM.
+        let spec = NetSpec::new(Variant::OdeNet, 20);
+        let mut dead = ARTY_Z7_20;
+        dead.pl_clock_hz = 0;
+        let dead_clock = request(vec![dead, ARTY_Z7_20], Partitioner::FirstFit, PlFormat::Q20);
+        let mut no_mac = request(vec![ARTY_Z7_20; 2], Partitioner::FirstFit, PlFormat::Q20);
+        no_mac.pl = PlModel { parallelism: 0 };
+        for mut req in [dead_clock, no_mac] {
+            let planned = crate::cluster::plan_cluster(&spec, &req).expect_err("invalid");
+            assert!(
+                matches!(planned, EngineError::InvalidHardware { .. }),
+                "{planned:?}"
+            );
+            for partitioner in [Partitioner::FirstFit, Partitioner::BalancedMakespan] {
+                req.partitioner = partitioner;
+                let err = partition_placement(&spec, OffloadTarget::AllOde, &req)
+                    .expect_err("rejected before the search");
+                assert_eq!(err.to_string(), planned.to_string(), "{partitioner:?}");
+            }
+            let (cluster, formats) = (&req.cluster, &req.precision);
+            let err = crate::cluster::shard_placement(
+                OffloadTarget::AllOde,
+                cluster,
+                req.pl.parallelism,
+                formats,
+            )
+            .expect_err("rejected before the first-fit loop");
+            assert_eq!(err.to_string(), planned.to_string());
+        }
     }
 
     #[test]

@@ -10,10 +10,14 @@
 //!   burned onto `k` fabrics and images round-robin between them
 //!   (image `i` → replica `i mod k`), so each replica is busy only
 //!   `seconds / k` per image in steady state and the pipelined ceiling
-//!   drops below one board's busy time. The replica boards are chosen
-//!   **jointly** with the rest of the assignment
-//!   (`partition::replicated_assignment`) — the best
-//!   unreplicated base often has no room for replicas.
+//!   drops below one board's busy time. Under
+//!   [`crate::partition::Partitioner::BalancedMakespan`] the replica
+//!   boards are chosen **jointly** with the rest of the assignment —
+//!   the best unreplicated base often has no room for replicas — by
+//!   the same exhaustive enumeration the unreplicated search runs,
+//!   with the replica-board sets as its outer loop (see
+//!   [`crate::partition`]); under `FirstFit` they go greedily onto the
+//!   first boards with spare fabric and matching timing.
 //! * [`Replication::Placement`] — the whole placement (software stages
 //!   included) is cloned across `g` disjoint board groups and images
 //!   round-robin between the groups: data parallelism for racks with

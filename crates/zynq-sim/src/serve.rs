@@ -13,14 +13,14 @@
 //! 1. an [`ArrivalProcess`] generates a seeded request stream
 //!    (Poisson, bursty, or a recorded trace — the `rand` shim drives
 //!    it, no wall clock is ever read);
-//! 2. an [`AdmissionQueue`] holds requests between arrival and
-//!    dispatch, tracking its high-water mark;
-//! 3. a [`MicroBatcher`] decides *when* to dispatch: when the
+//! 2. a [`MicroBatcher`] decides *when* to dispatch: when the
 //!    pipeline's head resource goes idle **or** a configurable
 //!    deadline expires ([`Dispatch::Deadline`]), or — as the
 //!    classical baseline — when a fixed batch fills
-//!    ([`Dispatch::FixedBatch`]);
-//! 4. the dispatched stream replays through
+//!    ([`Dispatch::FixedBatch`]); every request that has arrived
+//!    rides the dispatch, and the deepest such batch is the admission
+//!    queue's high-water mark ([`ReleasePlan::queue_peak`]);
+//! 3. the dispatched stream replays through
 //!    [`pipelined_schedule_released`], the release-aware form of the
 //!    `Schedule::Pipelined` event sim, and the per-image
 //!    queueing+service latencies fold into a [`ServeReport`].
@@ -72,8 +72,6 @@
 //! assert!(report.goodput <= ceiling * (1.0 + 1e-9));
 //! assert!(report.latency_p50 <= report.latency_p99);
 //! ```
-
-use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -274,50 +272,6 @@ impl Dispatch {
     }
 }
 
-/// The waiting room between arrival and dispatch: requests enter at
-/// their arrival instant and leave when the [`MicroBatcher`] releases
-/// them. Tracks the depth high-water mark — the provisioning number
-/// for an admission buffer on a real deployment.
-#[derive(Clone, Debug, Default)]
-pub struct AdmissionQueue {
-    waiting: VecDeque<f64>,
-    peak: usize,
-}
-
-impl AdmissionQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Admit one request by arrival instant.
-    pub fn push(&mut self, arrival: f64) {
-        self.waiting.push_back(arrival);
-        self.peak = self.peak.max(self.waiting.len());
-    }
-
-    /// Release everything waiting (a dispatch), returning the batch's
-    /// arrival instants in admission order.
-    pub fn drain(&mut self) -> Vec<f64> {
-        self.waiting.drain(..).collect()
-    }
-
-    /// Requests currently waiting.
-    pub fn len(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.waiting.is_empty()
-    }
-
-    /// The deepest the queue has ever been.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-}
-
 /// Turns an arrival stream into a release schedule under a
 /// [`Dispatch`] policy, replaying the pipeline's head-idle instants
 /// from the event sim as it goes.
@@ -373,7 +327,7 @@ impl MicroBatcher {
     pub fn release_plan(&self, timeline: &[StageTiming], arrivals: &[f64]) -> ReleasePlan {
         let n = arrivals.len();
         let mut releases = Vec::with_capacity(n);
-        let mut queue = AdmissionQueue::new();
+        let mut queue_peak = 0usize;
         let mut batches = 0usize;
         let mut idx = 0usize;
         let mut head_idle = 0.0f64;
@@ -391,15 +345,14 @@ impl MicroBatcher {
                 }
             };
             // The oldest waiting image always rides, so every pass makes
-            // progress even on input `validate` would reject.
-            queue.push(oldest);
+            // progress even on input `validate` would reject. A dispatch
+            // releases everything waiting, so the queue is deepest just
+            // before one.
             let mut count = 1usize;
             while idx + count < n && arrivals[idx + count] <= t {
-                queue.push(arrivals[idx + count]);
                 count += 1;
             }
-            let batch = queue.drain();
-            debug_assert_eq!(batch.len(), count, "dispatch releases everything waiting");
+            queue_peak = queue_peak.max(count);
             releases.extend(std::iter::repeat_n(t, count));
             idx += count;
             batches += 1;
@@ -410,7 +363,7 @@ impl MicroBatcher {
         ReleasePlan {
             releases,
             batches,
-            queue_peak: queue.peak(),
+            queue_peak,
         }
     }
 }
@@ -881,18 +834,6 @@ mod tests {
         }
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn admission_queue_tracks_high_water_mark() {
-        let mut q = AdmissionQueue::new();
-        q.push(0.1);
-        q.push(0.2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.drain(), vec![0.1, 0.2]);
-        assert!(q.is_empty());
-        q.push(0.3);
-        assert_eq!(q.peak(), 2, "peak survives the drain");
     }
 
     #[test]

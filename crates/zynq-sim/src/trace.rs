@@ -253,8 +253,9 @@ impl Trace {
     }
 
     /// The admission-queue depth time series as `(instant, depth)`
-    /// steps, in queue order. Its running peak equals
-    /// `AdmissionQueue::peak()` exactly (pinned by proptest).
+    /// steps, in queue order. Its running peak equals the release
+    /// plan's `queue_peak`, the largest dispatch, exactly (pinned by
+    /// proptest).
     pub fn queue_depth_series(&self) -> Vec<(f64, usize)> {
         let mut depth = 0i64;
         self.queue
@@ -549,8 +550,8 @@ impl Trace {
 pub struct Metrics {
     /// Per-resource rows, in [`StageResource::slot`] order.
     pub resources: Vec<ResourceMetrics>,
-    /// Peak of the queue-depth series (equals
-    /// `AdmissionQueue::peak()` for traced serves).
+    /// Peak of the queue-depth series (equals the serve report's
+    /// `queue_peak`, the largest dispatch, for traced serves).
     pub queue_peak: usize,
     /// The traced run's horizon in virtual seconds.
     pub horizon: f64,

@@ -50,7 +50,7 @@ fn assert_fast_is_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dPa
         fast.as_slice() == reference.as_slice(),
         "{what}: fast conv differs from conv2d_reference"
     );
-    let packed = conv2d_packed(x, &ConvWeights::new(w.clone()), p);
+    let packed = conv2d_packed(x, &ConvWeights::new(w.clone(), p));
     assert!(
         packed.as_slice() == reference.as_slice(),
         "{what}: packed conv differs from conv2d_reference"
@@ -90,7 +90,7 @@ fn fast_conv_is_bit_exact_on_every_rodenet_geometry() {
 /// reference.
 fn assert_winograd_is_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, what: &str) {
     let p = Conv2dParams::same_3x3();
-    let winograd = conv2d_winograd(x, &ConvWeights::new(w.clone()), p)
+    let winograd = conv2d_winograd(x, &ConvWeights::new(w.clone(), p))
         .unwrap_or_else(|| panic!("{what}: resident weights skip the Winograd route"));
     assert!(
         winograd.as_slice() == conv2d_reference(x, w, p).as_slice(),
@@ -102,13 +102,13 @@ fn assert_winograd_is_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, what: &
 /// direct fallback must equal the reference.
 fn assert_falls_back<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, what: &str) {
     let p = Conv2dParams::same_3x3();
-    let packed = ConvWeights::new(w.clone());
+    let packed = ConvWeights::new(w.clone(), p);
     assert!(
-        conv2d_winograd(x, &packed, p).is_none(),
+        conv2d_winograd(x, &packed).is_none(),
         "{what}: the Winograd route took an operand past its guard"
     );
     assert!(
-        conv2d_packed(x, &packed, p).as_slice() == conv2d_reference(x, w, p).as_slice(),
+        conv2d_packed(x, &packed).as_slice() == conv2d_reference(x, w, p).as_slice(),
         "{what}: direct fallback differs from conv2d_reference"
     );
 }
