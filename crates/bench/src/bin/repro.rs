@@ -52,7 +52,8 @@
 //!                 im2col/GEMM fast path, bit-identical logits), the
 //!                 layer3_2 PL stage's bit-exact Q20 emulation, plus
 //!                 end-to-end batch-32 on the PsSoftware backend, the
-//!                 configuration the ≥2× speedup pin guards
+//!                 configuration the ≥2× speedup pin guards, and the
+//!                 GEMM cores' build (`kernel build: avx2|baseline`)
 //!   faults        Extension: fault injection & failover — kill one
 //!                 placement group's board mid-run on the 4-board rack
 //!                 and compare the fault-free and faulted serves: the
@@ -1736,13 +1737,15 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 fn hotpath_cmd(flags: &Flags) {
-    use tensor::conv::{conv2d, conv2d_packed, set_force_reference};
+    use tensor::conv::{conv2d, conv2d_packed, kernel_build, set_force_reference};
     use tensor::ops::concat_time_channel;
     use zynq_sim::engine::{Engine, Offload};
 
     /// Time `f` on the scalar reference kernels, then on the im2col/GEMM
     /// fast path. Numerics are bit-identical either way — the toggle only
-    /// reroutes `conv2d` dispatch — so only the clock differs.
+    /// reroutes `conv2d` and `conv2d_packed` (the PL stage's resident
+    /// weights) to the reference kernel, which has no AVX2 build — so
+    /// only the clock differs.
     fn face_off<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
         set_force_reference(true);
         let reference = best_of(reps, &mut f);
@@ -1841,6 +1844,10 @@ fn hotpath_cmd(flags: &Flags) {
     let fast = best_of(2, || engine.infer_batch(&xs).expect("fast batch"));
     row(&format!("e2e batch-{batch} (PsSoftware)"), reference, fast);
     t.emit("hotpath");
+    bench::emit_line(&format!(
+        "kernel build: {} (the fast columns' GEMM cores)",
+        kernel_build()
+    ));
     println!(
         "(logits are bit-identical on both paths; tests/hotpath.rs pins the \
          end-to-end row at >=2x)"

@@ -37,6 +37,13 @@ fn append_artifact(text: &str) {
     }
 }
 
+/// Print `line` under the tables and append it to the artifact sink, if
+/// one is set ([`set_artifact_sink`]).
+pub fn emit_line(line: &str) {
+    println!("{line}");
+    append_artifact(&format!("\n{line}\n"));
+}
+
 /// A simple markdown/CSV table builder.
 #[derive(Clone, Debug, Default)]
 pub struct Table {

@@ -33,6 +33,8 @@
 //!   accumulator can never hold `-0.0` (it starts at `+0.0`, and
 //!   IEEE-754 addition only produces `-0.0` from two negative zeros).
 //!   f32 addition is not associative, so this K order must not change.
+//!   The 16 pixels of a tile row are four 4-wide registers in the
+//!   baseline build and two 8-wide ones in the AVX2 build (see "Builds").
 //! * **Fixed point** (`Fix<F>`, the PL's Q20, and the 16-bit `Fix16<F>`)
 //!   runs one offset-binary core over raw 32-bit words, compiled once
 //!   for every width. Its reference is a wrapping i64 sum of exact
@@ -40,10 +42,12 @@
 //!   order-free. With `w' = w + 2^31` and `x' = x + 2^31` (the sign bit
 //!   flipped, read as u32),
 //!   `Σ w·x ≡ Σ w'x' − 2^31·(Σ w' + Σ x') + K·2^62 (mod 2^64)`, so the
-//!   core accumulates unsigned `w'x'` products — one `pmuludq` lane each
-//!   on baseline x86-64, which has no signed 32×32→64 vector multiply —
-//!   in any order, corrects each output once, and hands the format's
-//!   `acc_finish` exactly the reference's accumulator bits. `Fix16`
+//!   core accumulates unsigned `w'x'` products in any order, corrects
+//!   each output once, and hands the format's `acc_finish` exactly the
+//!   reference's accumulator bits. Each product is one scalar 64-bit
+//!   multiply in both builds; the AVX2 build keeps the tile's eight sums
+//!   in two 4-lane registers, which frees the general registers the
+//!   baseline build spills its row pointers for (see "Builds"). `Fix16`
 //!   operands are sign-extended to 32 bits first. Its i16×i16 products
 //!   summed in i64 never wrap, so the mod-2^64 sum is the exact sum its
 //!   saturating `acc_finish` sees on the reference path.
@@ -91,6 +95,31 @@
 //! their check keep direct rows, and so do stride-2 weights. Odd extents
 //! and inputs past the bound take the direct core ([`conv2d_winograd`]
 //! is the route on its own, `None` where it does not apply).
+//!
+//! # Builds
+//!
+//! The two GEMM cores — the f32 register-tile loop of `gemm_blocked`
+//! and the offset-binary block, which serves both the direct and the
+//! Winograd routes — are each compiled twice from one source: the
+//! target's baseline (SSE2 on x86-64) and, on x86-64, a wrapper with
+//! `#[target_feature(enable = "avx2")]` around the same
+//! `#[inline(always)]` body. Each call picks the AVX2 build where
+//! `is_x86_feature_detected!("avx2")` holds and the baseline otherwise;
+//! other targets only have the baseline. [`kernel_build`] reports which
+//! one runs, and nothing selects it. AVX2 is the one extra build because
+//! an AVX-512 build of the f32 core measured slower than the baseline
+//! (1.3 vs 9.8 GMAC/s at layer3_2's K = 585, AVX2 15.7), and a global
+//! `-C target-cpu` would make every binary fault on x86-64 CPUs without
+//! AVX2. FMA stays off: Rust never contracts `acc + w·x` into a fused
+//! multiply–add, so each f32 output keeps its own rounded chain in K
+//! order, and the integer sums are taken mod 2^64, where order is free —
+//! both builds give the same bits, pinned by the two-build unit tests
+//! below. The reference kernel is never compiled as an AVX2 build.
+//!
+//! SAFETY: calling a `#[target_feature]` function is `unsafe`, because
+//! running its code on a CPU without the feature is undefined behaviour.
+//! Each core has one such call, guarded by the runtime check just before
+//! it; these are the crate's only `unsafe` blocks.
 //!
 //! The equivalence is pinned by unit tests here, proptests in
 //! `tensor/tests/props.rs` across shapes × strides × scalar types
@@ -143,15 +172,20 @@ pub fn conv2d_out_shape(x: Shape4, w: Shape4, p: Conv2dParams) -> Shape4 {
     Shape4::new(x.n, w.n, p.out_extent(x.h, w.h), p.out_extent(x.w, w.w))
 }
 
-/// When set, [`conv2d`] always takes the scalar reference path — used by
-/// `repro -- hotpath` and `tests/hotpath.rs` to measure the fast kernel
-/// against its baseline without duplicating the call sites. Numerics are
-/// identical either way; only wall-clock differs.
+/// When set, [`conv2d`] and [`conv2d_packed`] (the resident weights of
+/// the engine's PL stage and of `rodenet`'s quantized blocks) always take
+/// the scalar reference path — used by `repro -- hotpath`,
+/// `tests/hotpath.rs` and the repo benchmark's reference logits to measure
+/// or check the fast kernels against their baseline without duplicating
+/// the call sites. Numerics are identical either way; only wall-clock
+/// differs. The reference kernel has no AVX2 build, so the toggle also
+/// bypasses the AVX2 builds of the GEMM cores.
 static FORCE_REFERENCE: AtomicBool = AtomicBool::new(false);
 
-/// Route all [`conv2d`] calls through [`conv2d_reference`] (`true`) or
-/// restore fast-path dispatch (`false`). Process-global; intended for
-/// benchmarking, not concurrent toggling mid-inference.
+/// Route all [`conv2d`] and [`conv2d_packed`] calls through
+/// [`conv2d_reference`] (`true`) or restore fast-path dispatch (`false`).
+/// Process-global; intended for benchmarking, not concurrent toggling
+/// mid-inference.
 pub fn set_force_reference(force: bool) {
     FORCE_REFERENCE.store(force, Ordering::SeqCst);
 }
@@ -159,6 +193,38 @@ pub fn set_force_reference(force: bool) {
 /// Whether [`set_force_reference`] currently pins the reference path.
 pub fn force_reference() -> bool {
     FORCE_REFERENCE.load(Ordering::SeqCst)
+}
+
+/// Which build of the two GEMM cores this CPU runs: `"avx2"` or
+/// `"baseline"` (see "Builds" in the module docs). It only reports; no
+/// option selects a build.
+pub fn kernel_build() -> &'static str {
+    match Build::detect() {
+        Build::Baseline => "baseline",
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2 => "avx2",
+    }
+}
+
+/// A compiled build of the GEMM cores (see "Builds" in the module docs).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Build {
+    /// The target's baseline features (SSE2 on x86-64).
+    Baseline,
+    /// The same source compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Build {
+    /// The build for this CPU: AVX2 where the CPU has it.
+    fn detect() -> Build {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Build::Avx2;
+        }
+        Build::Baseline
+    }
 }
 
 /// Forward convolution, generic over the scalar type.
@@ -472,6 +538,7 @@ fn im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, stride: usize, out: &mut 
     // parallelism lives a layer up (Engine::infer_batch), so packing
     // sequentially here wastes nothing.
     let mut cols = vec![S::ZERO; kdim * nc];
+    let build = Build::detect();
     for n in 0..xs.n {
         for i in 0..xs.c {
             let xplane = x.plane(n, i);
@@ -492,21 +559,21 @@ fn im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, stride: usize, out: &mut 
                 }
             }
         }
-        gemm_blocked(w.as_slice(), &cols, kdim, out.item_mut(n));
+        gemm_blocked(build, w.as_slice(), &cols, kdim, out.item_mut(n));
     }
 }
 
 /// The f32 fast path's register-tiled GEMM: `out = W · cols` for one
 /// batch item, with `W` the `(O × kdim)` weight matrix, `cols` the
 /// packed `(kdim × NC)` column matrix and `out` the item's `(O × NC)`
-/// output planes.
+/// output planes, on `build`.
 ///
 /// Each `GEMM_MB × GEMM_NB` tile of outputs is computed by
 /// [`gemm_tile`], one `mac` chain per output in K order. A ragged last
 /// row block reads zero-padded weight panels and a ragged last pixel tile
 /// reads a zero-padded copy of its columns; the padded lanes' results
 /// are never written back.
-fn gemm_blocked<S: Scalar>(wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) {
+fn gemm_blocked<S: Scalar>(build: Build, wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) {
     let nc = cols.len() / kdim;
     // K-major weight panels, one per block of GEMM_MB output channels:
     // `panels[blk·kdim + r][m]` is `W[blk·GEMM_MB + m][r]`.
@@ -525,26 +592,76 @@ fn gemm_blocked<S: Scalar>(wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) 
     }
     par::par_chunks_mut(oitem, GEMM_MB * nc, kdim, |blk, chunk| {
         let panel = &panels[blk * kdim..(blk + 1) * kdim];
-        for j0 in (0..nc).step_by(GEMM_NB) {
-            let acc = if j0 < full {
-                gemm_tile(panel, &cols[j0..], nc)
-            } else {
-                gemm_tile(panel, &tail, GEMM_NB)
-            };
-            let nb = GEMM_NB.min(nc - j0);
-            for (arow, orow) in acc.iter().zip(chunk.chunks_exact_mut(nc)) {
-                for (o, &a) in orow[j0..j0 + nb].iter_mut().zip(arow) {
-                    *o = S::acc_finish(a);
-                }
+        gemm_rows_on(build, panel, cols, &tail, nc, chunk);
+    });
+}
+
+/// [`gemm_rows`] on `build`: the AVX2 build where it was asked for and
+/// the CPU has AVX2, the baseline build otherwise.
+#[allow(unsafe_code)]
+fn gemm_rows_on<S: Scalar>(
+    build: Build,
+    panel: &[[S; GEMM_MB]],
+    cols: &[S],
+    tail: &[S],
+    nc: usize,
+    chunk: &mut [S],
+) {
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2 if std::is_x86_feature_detected!("avx2") => {
+            // SAFETY: AVX2 is the only feature `gemm_rows_avx2` enables,
+            // and the CPU has it (checked by the guard just above).
+            unsafe { gemm_rows_avx2(panel, cols, tail, nc, chunk) }
+        }
+        _ => gemm_rows(panel, cols, tail, nc, chunk),
+    }
+}
+
+/// The AVX2 build of [`gemm_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2<S: Scalar>(
+    panel: &[[S; GEMM_MB]],
+    cols: &[S],
+    tail: &[S],
+    nc: usize,
+    chunk: &mut [S],
+) {
+    gemm_rows(panel, cols, tail, nc, chunk)
+}
+
+/// One block of [`gemm_blocked`]: the outputs `chunk` (up to `GEMM_MB`
+/// rows of `nc`) of the weight `panel`, tile by tile, the ragged last
+/// pixel tile read from `tail`.
+#[inline(always)]
+fn gemm_rows<S: Scalar>(
+    panel: &[[S; GEMM_MB]],
+    cols: &[S],
+    tail: &[S],
+    nc: usize,
+    chunk: &mut [S],
+) {
+    let full = nc - nc % GEMM_NB;
+    for j0 in (0..nc).step_by(GEMM_NB) {
+        let acc = if j0 < full {
+            gemm_tile(panel, &cols[j0..], nc)
+        } else {
+            gemm_tile(panel, tail, GEMM_NB)
+        };
+        let nb = GEMM_NB.min(nc - j0);
+        for (arow, orow) in acc.iter().zip(chunk.chunks_exact_mut(nc)) {
+            for (o, &a) in orow[j0..j0 + nb].iter_mut().zip(arow) {
+                *o = S::acc_finish(a);
             }
         }
-    });
+    }
 }
 
 /// One register tile: `acc[m][j] = Σ_r panel[r][m]·x[r·stride + j]`,
 /// each output's `mac` chain running over `r` in order. The `GEMM_MB`
 /// weights of a tap share one `GEMM_NB`-wide load of its `x` row.
-#[inline]
+#[inline(always)]
 fn gemm_tile<S: Scalar>(
     panel: &[[S; GEMM_MB]],
     x: &[S],
@@ -603,6 +720,7 @@ fn offset_binary_3x3<S: Scalar>(
     let mut xt = vec![0u32; nc.next_multiple_of(TILE_NR) * kdim];
     let mut xsum = vec![0u64; nc.next_multiple_of(TILE_NR)];
     let mut sums = vec![0i64; os.c * nc];
+    let build = Build::detect();
     for n in 0..xs.n {
         let planes = x.item(n).chunks_exact(xs.h * xs.w);
         for (plane, src) in xpad.chunks_exact_mut(ph * pw).zip(planes) {
@@ -621,7 +739,7 @@ fn offset_binary_3x3<S: Scalar>(
             &mut xt[..nc * kdim],
             &mut xsum,
         );
-        offset_binary_gemm(w, kdim, nc, &xt, &xsum, &mut sums);
+        offset_binary_gemm(build, w, kdim, nc, &xt, &xsum, &mut sums);
         for (o, &s) in out.item_mut(n).iter_mut().zip(&sums) {
             *o = (fp.finish)(s);
         }
@@ -658,9 +776,10 @@ fn pack_windows(
 /// The fixed-point GEMM core over raw words, compiled once for every
 /// width: `sums[m][j] = Σ_k w[m][k]·x[j][k]` as a wrapping i64, from the
 /// offset-binary weight rows `w` and the window rows `xt` (row sums
-/// `xsum`), both K-contiguous and padded to whole tiles. The
+/// `xsum`), both K-contiguous and padded to whole tiles, on `build`. The
 /// output-channel blocks are split over [`crate::par`].
 fn offset_binary_gemm(
+    build: Build,
     w: &PackedRows,
     kdim: usize,
     nc: usize,
@@ -669,8 +788,48 @@ fn offset_binary_gemm(
     sums: &mut [i64],
 ) {
     par::par_chunks_mut(sums, TILE_MR * nc, kdim, |blk, chunk| {
-        offset_binary_block(w, blk * TILE_MR, kdim, nc, xt, xsum, chunk);
+        offset_binary_block_on(build, w, blk * TILE_MR, kdim, nc, xt, xsum, chunk);
     });
+}
+
+/// [`offset_binary_block`] on `build`: the AVX2 build where it was asked
+/// for and the CPU has AVX2, the baseline build otherwise.
+#[allow(unsafe_code)]
+#[allow(clippy::too_many_arguments)]
+fn offset_binary_block_on(
+    build: Build,
+    w: &PackedRows,
+    m0: usize,
+    kdim: usize,
+    nc: usize,
+    xt: &[u32],
+    xsum: &[u64],
+    out: &mut [i64],
+) {
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2 if std::is_x86_feature_detected!("avx2") => {
+            // SAFETY: AVX2 is the only feature `offset_binary_block_avx2`
+            // enables, and the CPU has it (checked by the guard just above).
+            unsafe { offset_binary_block_avx2(w, m0, kdim, nc, xt, xsum, out) }
+        }
+        _ => offset_binary_block(w, m0, kdim, nc, xt, xsum, out),
+    }
+}
+
+/// The AVX2 build of [`offset_binary_block`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn offset_binary_block_avx2(
+    w: &PackedRows,
+    m0: usize,
+    kdim: usize,
+    nc: usize,
+    xt: &[u32],
+    xsum: &[u64],
+    out: &mut [i64],
+) {
+    offset_binary_block(w, m0, kdim, nc, xt, xsum, out)
 }
 
 /// One block of the core: `out[m][j]` (up to `TILE_MR` rows of `nc`) is
@@ -680,7 +839,7 @@ fn offset_binary_gemm(
 ///
 /// Each `w'x'` is one unsigned 32×32→64 multiply, and the `TILE_MR ×
 /// TILE_NR` accumulators stay in registers over the whole K loop.
-#[inline]
+#[inline(always)]
 fn offset_binary_block(
     w: &PackedRows,
     m0: usize,
@@ -739,6 +898,7 @@ fn winograd_3x3<S: Scalar>(
     let mut v = vec![0u32; 16 * ntp * xs.c];
     let mut vsum = vec![0u64; 16 * ntp];
     let mut sums = vec![0i64; os.c * os.h * os.w];
+    let build = Build::detect();
     for n in 0..xs.n {
         let planes = x.item(n).chunks_exact(xs.h * xs.w);
         for (plane, src) in xpad.chunks_exact_mut((xs.h + 2) * pw).zip(planes) {
@@ -755,7 +915,7 @@ fn winograd_3x3<S: Scalar>(
             let mut mt = vec![0i64; 16 * TILE_MR * nt];
             for ((t, ut), out) in u.iter().enumerate().zip(mt.chunks_exact_mut(TILE_MR * nt)) {
                 let (vt, vs) = (&v[t * ntp * xs.c..(t + 1) * ntp * xs.c], &vsum[t * ntp..]);
-                offset_binary_block(ut, blk * TILE_MR, xs.c, nt, vt, vs, out);
+                offset_binary_block_on(build, ut, blk * TILE_MR, xs.c, nt, vt, vs, out);
             }
             for (m, plane) in chunk.chunks_exact_mut(4 * nt).enumerate() {
                 for j in 0..nt {
@@ -812,7 +972,7 @@ fn winograd_input(
 
 /// `Σ_k w'[m][k]·x'[j][k]` for the `TILE_MR` weight rows in `w` and the
 /// `TILE_NR` window rows in `x`, wrapping mod 2^64.
-#[inline]
+#[inline(always)]
 fn offset_binary_tile(w: &[u32], x: &[u32], kdim: usize) -> [[u64; TILE_NR]; TILE_MR] {
     let w: [&[u32]; TILE_MR] = std::array::from_fn(|m| &w[m * kdim..(m + 1) * kdim]);
     let x: [&[u32]; TILE_NR] = std::array::from_fn(|j| &x[j * kdim..(j + 1) * kdim]);
@@ -1005,6 +1165,104 @@ mod tests {
             k += 1.0;
             (k % 7.0 - 3.0) * scale
         })
+    }
+
+    /// A splitmix64 stream, the two-build tests' operands.
+    fn words(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed;
+        move || {
+            s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (s ^ (s >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// `core` on the baseline build and, where the CPU has AVX2, on the
+    /// AVX2 build, which must give the same bits; returns the baseline's.
+    fn both_builds<T: PartialEq>(what: &str, core: impl Fn(Build) -> T) -> T {
+        let baseline = core(Build::Baseline);
+        let build = Build::detect();
+        if build == Build::Baseline {
+            println!("note: no AVX2 on this CPU; {what} ran the baseline only");
+        } else {
+            assert!(core(build) == baseline, "{what}: the AVX2 build differs");
+        }
+        baseline
+    }
+
+    #[test]
+    fn f32_gemm_builds_agree_bit_for_bit() {
+        let mut next = words(1);
+        let mut value = || (next() >> 40) as f32 / (1 << 23) as f32 - 1.0;
+        for kdim in [1, 9, 65, 585] {
+            // O % 4 != 0 and NC % 16 != 0: ragged row blocks and pixel tiles.
+            for (o, nc) in [(7, 37), (5, 19), (4, 16)] {
+                let w: Vec<f32> = (0..o * kdim).map(|_| value()).collect();
+                let cols: Vec<f32> = (0..kdim * nc).map(|_| value()).collect();
+                let out = both_builds("the f32 GEMM", |build| {
+                    let mut out = vec![0f32; o * nc];
+                    gemm_blocked(build, &w, &cols, kdim, &mut out);
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                });
+                // Each output is its own `acc + w·x` chain in K order.
+                for (m, orow) in out.chunks_exact(nc).enumerate() {
+                    for (j, &bits) in orow.iter().enumerate() {
+                        let chain =
+                            (0..kdim).fold(0f32, |a, k| a + w[m * kdim + k] * cols[k * nc + j]);
+                        assert_eq!(bits, chain.to_bits(), "kdim={kdim} o={o} nc={nc}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn offset_binary_builds_agree_bit_for_bit() {
+        let mut next = words(2);
+        let extremes = [0u32, 0x7fff_ffff, 0x8000_0000, 0xffff_ffff];
+        for kdim in [1, 9, 65, 585] {
+            // NC % 4 != 0 and odd O: ragged pixel tiles and row blocks.
+            for (o, nc) in [(3usize, 7), (5, 6), (1, 4)] {
+                // Raw words: the extremes, any i32 (Q20 or Q16), and a
+                // sign-extended i16 (`Fix16<10>`).
+                for source in 0..3 {
+                    let mut raw = || match source {
+                        0 => extremes[next() as usize % 4] as i32,
+                        1 => next() as i32,
+                        _ => i32::from(next() as i16),
+                    };
+                    let w: Vec<i32> = (0..o * kdim).map(|_| raw()).collect();
+                    let x: Vec<i32> = (0..nc * kdim).map(|_| raw()).collect();
+                    let mut rows = vec![0u32; o.next_multiple_of(TILE_MR) * kdim];
+                    for (d, &v) in rows.iter_mut().zip(&w) {
+                        *d = offset_binary(v);
+                    }
+                    let packed = PackedRows::new(rows, kdim);
+                    let mut xt = vec![0u32; nc.next_multiple_of(TILE_NR) * kdim];
+                    for (d, &v) in xt.iter_mut().zip(&x) {
+                        *d = offset_binary(v);
+                    }
+                    let xsum: Vec<u64> = xt.chunks_exact(kdim).map(row_sum).collect();
+                    let sums = both_builds("the offset-binary core", |build| {
+                        let mut sums = vec![0i64; o * nc];
+                        offset_binary_gemm(build, &packed, kdim, nc, &xt, &xsum, &mut sums);
+                        sums
+                    });
+                    // Each sum is the wrapping i64 sum of exact products.
+                    for (m, srow) in sums.chunks_exact(nc).enumerate() {
+                        for (j, &sum) in srow.iter().enumerate() {
+                            let exact = (0..kdim).fold(0i64, |a, k| {
+                                a.wrapping_add(
+                                    i64::from(w[m * kdim + k]) * i64::from(x[j * kdim + k]),
+                                )
+                            });
+                            assert_eq!(sum, exact, "kdim={kdim} o={o} nc={nc} source={source}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

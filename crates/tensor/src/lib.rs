@@ -30,7 +30,10 @@
 //! assert_eq!(y.shape(), Shape4::new(1, 4, 8, 8));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the conv module's two AVX2 dispatch calls are the
+// crate's only `unsafe`, each allowed at its call site (a safe caller
+// cannot invoke a `#[target_feature]` function; see `conv`'s "Builds").
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bn;
