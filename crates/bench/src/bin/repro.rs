@@ -49,7 +49,8 @@
 //!                 Perfetto)
 //!   hotpath       Extension: PS hot-path face-off — measured wall-clock
 //!                 seconds per PS stage (scalar reference kernels vs the
-//!                 im2col/GEMM fast path, bit-identical logits), the
+//!                 implicit-GEMM fast path, bit-identical logits), 100
+//!                 layer3_2 f32 convs, the
 //!                 layer3_2 PL stage's bit-exact Q20 emulation, plus
 //!                 end-to-end batch-32 on the PsSoftware backend, the
 //!                 configuration the ≥2× speedup pin guards, and the
@@ -1737,12 +1738,14 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 fn hotpath_cmd(flags: &Flags) {
-    use tensor::conv::{conv2d, conv2d_packed, kernel_build, set_force_reference};
+    use tensor::conv::{
+        conv2d, conv2d_packed, conv2d_reference, kernel_build, set_force_reference, Conv2dParams,
+    };
     use tensor::ops::concat_time_channel;
     use zynq_sim::engine::{Engine, Offload};
 
-    /// Time `f` on the scalar reference kernels, then on the im2col/GEMM
-    /// fast path. Numerics are bit-identical either way — the toggle only
+    /// Time `f` on the scalar reference kernels, then on the fast conv
+    /// path. Numerics are bit-identical either way — the toggle only
     /// reroutes `conv2d` and `conv2d_packed` (the PL stage's resident
     /// weights) to the reference kernel, which has no AVX2 build — so
     /// only the clock differs.
@@ -1759,7 +1762,7 @@ fn hotpath_cmd(flags: &Flags) {
     let x = bench::random_tensor(Shape4::new(1, 3, 32, 32), flags.seed ^ 0x9e37);
 
     let mut t = Table::new(
-        "Extension: PS hot path — scalar reference kernels vs im2col/GEMM fast path \
+        "Extension: PS hot path — scalar reference kernels vs implicit-GEMM fast path \
          (ODENet-20, wall-clock)",
         &["Stage", "Reference [s]", "Fast [s]", "Speedup"],
     );
@@ -1791,10 +1794,28 @@ fn hotpath_cmd(flags: &Flags) {
         let (r, f) = face_off(3, || net.stage_forward(name, &z, BnMode::OnTheFly));
         row(name.name(), r, f);
         if name == LayerName::Layer3_2 {
+            // The stage's first f32 conv (65 → 64 channels, 8×8), 100
+            // calls on the same operands: the scalar reference against
+            // the implicit GEMM the PS runs.
+            let stage = net.stage(name).expect("stage_forward found it");
+            let xc = concat_time_channel(&z, 0.0);
+            let w1 = &stage.blocks[0].conv1.w;
+            let reference = || conv2d_reference(&xc, w1, Conv2dParams::same_3x3());
+            let fast = || conv2d(&xc, w1, Conv2dParams::same_3x3());
+            assert_eq!(
+                reference().as_slice(),
+                fast().as_slice(),
+                "the implicit GEMM must equal the reference bit for bit"
+            );
+            let calls = |f: &dyn Fn() -> Tensor<f32>| best_of(3, || (0..100).map(|_| f()).last());
+            row(
+                "layer3_2 conv (f32) x100: reference -> fast",
+                calls(&reference),
+                calls(&fast),
+            );
             // The same stage as the hybrid placement's PL runs it: the
             // bit-exact emulation of the circuit, all Euler steps, at the
             // paper's Q20 and at the footnote-2 16-bit Q16.10.
-            let stage = net.stage(name).expect("stage_forward found it");
             let accel = OdeBlockAccel::<Q20>::new(&stage.blocks[0], 16, &PYNQ_Z2);
             let zq = Tensor::<Q20>::from_f32_tensor(&z);
             let (r, f) = face_off(3, || accel.run_stage(&zq, stage.plan.execs));

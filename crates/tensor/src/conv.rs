@@ -17,24 +17,41 @@
 //! # Fast path
 //!
 //! [`conv2d`] dispatches the paper's hot case — 3×3, pad 1, stride 1 or 2
-//! — to a packed GEMM kernel ([`conv2d_im2col_3x3`]) whose inner loops
+//! — to a GEMM kernel ([`conv2d_fast_3x3`]) whose inner loops
 //! carry **no per-element branch**. Every other geometry (and
 //! [`set_force_reference`]) falls back to the original scalar kernel,
 //! retained verbatim as [`conv2d_reference`]. Which GEMM runs depends on
 //! the scalar type's [`Scalar::FIXED_POINT`]:
 //!
-//! * **f32** packs the input into a `K × (OH·OW)` im2col matrix, each row
-//!   `zero border | contiguous interior copy | zero border`, and runs a
-//!   register-tiled GEMM: each tile of 4 output channels × 16 output
-//!   pixels keeps its 64 accumulators in registers over the whole K loop.
+//! * **f32** runs an implicit GEMM that reads the input in place. Each
+//!   batch item is copied once into zero-padded planes: one
+//!   `(H+2)×(W+2)` plane per channel at stride 1, and at stride 2 four
+//!   phase planes per channel (even/odd padded rows × even/odd padded
+//!   columns), where tap `(ky, kx)` reads phase `(ky%2, kx%2)` shifted by
+//!   `(ky/2, kx/2)`. At both strides consecutive output pixels read
+//!   consecutive words, and one offset per tap, in the reference's
+//!   `(i, ky, kx)` order, locates a tap's words for every pixel. A
+//!   register tile of 4 output channels × 16 output pixels keeps its 64
+//!   accumulators in registers over the whole K loop; its pixels are two
+//!   runs of 8, each inside one output row. Lanes past a run's end are
+//!   computed but never written back, and they read at most 7 words past
+//!   the last real lane, so 7 words of slack after the last plane keep
+//!   every read in bounds. The planes start on a 64-byte boundary: a
+//!   prototype without it read either 95 or 170 µs per layer3_2 conv
+//!   depending on the process (a later check with a 4-byte offset saw no
+//!   difference, so the swing is not fully pinned down). Each block of 4 output channels zips its
+//!   weight rows into a K-major panel right before its tiles (9.4 KB at
+//!   layer3_2, zero rows padding a ragged last block), so no im2col
+//!   matrix and no whole-matrix panel is built.
 //!   Every output is still its own `acc + w·x` chain in the reference's
 //!   `(i, ky, kx)` order; tiling only interleaves independent chains.
-//!   Padded taps contribute `acc + (±0.0)`, a bitwise no-op because the
+//!   Padded taps read `+0.0`, as an im2col matrix's explicit zeros did,
+//!   and contribute `acc + (±0.0)`, a bitwise no-op because the
 //!   accumulator can never hold `-0.0` (it starts at `+0.0`, and
 //!   IEEE-754 addition only produces `-0.0` from two negative zeros).
 //!   f32 addition is not associative, so this K order must not change.
-//!   The 16 pixels of a tile row are four 4-wide registers in the
-//!   baseline build and two 8-wide ones in the AVX2 build (see "Builds").
+//!   A run of 8 pixels is two 4-wide registers in the baseline build and
+//!   one 8-wide register in the AVX2 build (see "Builds").
 //! * **Fixed point** (`Fix<F>`, the PL's Q20, and the 16-bit `Fix16<F>`)
 //!   runs one offset-binary core over raw 32-bit words, compiled once
 //!   for every width. Its reference is a wrapping i64 sum of exact
@@ -98,21 +115,22 @@
 //!
 //! # Builds
 //!
-//! The two GEMM cores — the f32 register-tile loop of `gemm_blocked`
-//! and the offset-binary block, which serves both the direct and the
-//! Winograd routes — are each compiled twice from one source: the
-//! target's baseline (SSE2 on x86-64) and, on x86-64, a wrapper with
-//! `#[target_feature(enable = "avx2")]` around the same
-//! `#[inline(always)]` body. Each call picks the AVX2 build where
+//! The two GEMM cores — the f32 implicit-GEMM block (`implicit_rows`,
+//! with its register tile) and the offset-binary block, which serves
+//! both the direct and the Winograd routes — are each compiled twice
+//! from one source: the target's baseline (SSE2 on x86-64) and, on
+//! x86-64, a wrapper with `#[target_feature(enable = "avx2")]` around
+//! the same `#[inline(always)]` body. Each call picks the AVX2 build where
 //! `is_x86_feature_detected!("avx2")` holds and the baseline otherwise;
 //! other targets only have the baseline. [`kernel_build`] reports which
 //! one runs, and nothing selects it. AVX2 is the one extra build because
-//! an AVX-512 build of the f32 core measured slower than the baseline
-//! (1.3 vs 9.8 GMAC/s at layer3_2's K = 585, AVX2 15.7), and a global
-//! `-C target-cpu` would make every binary fault on x86-64 CPUs without
-//! AVX2. FMA stays off: Rust never contracts `acc + w·x` into a fused
-//! multiply–add, so each f32 output keeps its own rounded chain in K
-//! order, and the integer sums are taken mod 2^64, where order is free —
+//! an AVX-512 build of the earlier im2col f32 core measured slower
+//! than its baseline (1.3 vs 9.8 GMAC/s at layer3_2's K = 585, AVX2
+//! 15.7), and a global `-C target-cpu` would make every binary fault on
+//! x86-64 CPUs without AVX2. FMA stays off: Rust never contracts
+//! `acc + w·x` into a fused multiply–add, so each f32 output keeps its
+//! own rounded chain in K order, and the integer sums are taken mod
+//! 2^64, where order is free —
 //! both builds give the same bits, pinned by the two-build unit tests
 //! below. The reference kernel is never compiled as an AVX2 build.
 //!
@@ -470,26 +488,27 @@ pub fn conv2d_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams
     out
 }
 
-/// Register-tile height of [`gemm_blocked`]: output channels whose
-/// accumulators share each load of a `cols` row.
+/// Register-tile height of the f32 core: output channels whose
+/// accumulators share each load of an input run.
 const GEMM_MB: usize = 4;
-/// Register-tile width of [`gemm_blocked`]: output pixels per tile, each
-/// weight broadcast across them. With `GEMM_MB` this keeps 64
-/// accumulators live over the whole K loop.
-const GEMM_NB: usize = 16;
+/// Output pixels of one run of the f32 core: consecutive pixels of one
+/// output row, read as consecutive words of a padded plane.
+const RUN: usize = 8;
+/// Register-tile width of the f32 core: two runs, each weight broadcast
+/// across both. With `GEMM_MB` this keeps 64 accumulators live over the
+/// whole K loop.
+const GEMM_NB: usize = 2 * RUN;
 
 /// The fast path for 3×3 / pad 1 / stride 1 or 2, packing fixed-point
 /// weights per call (see the module docs for both GEMMs).
 ///
-/// For f32, each batch item's input is packed into a `K × (OH·OW)`
-/// column matrix (`K = C·9`, rows ordered `(i, ky, kx)` — the reference
-/// kernel's tap order) and multiplied by the `(O × K)` weight matrix in
-/// a register-tiled GEMM. Padded taps are packed as explicit zeros, which
-/// leave every accumulator bit-unchanged. The packed rows are built from
-/// precomputed interior ranges — `copy_from_slice` for stride 1, a
-/// `step_by(2)` zip for stride 2 — so no per-element bounds check runs.
-/// Fixed point runs the offset-binary core on directly packed windows.
-pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams) -> Tensor<S> {
+/// For f32, each batch item's input is copied once into zero-padded
+/// planes (four phase planes per channel at stride 2), and each output
+/// reads its taps from them in place, in the reference kernel's
+/// `(i, ky, kx)` order; padded taps read explicit zeros, which leave
+/// every accumulator bit-unchanged. Fixed point runs the offset-binary
+/// core on directly packed windows.
+pub fn conv2d_fast_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams) -> Tensor<S> {
     fast_3x3(x, w, None, p)
 }
 
@@ -522,158 +541,185 @@ fn fast_3x3<S: Scalar>(
             };
             offset_binary_3x3(x, packed, p.stride, fp, &mut out);
         }
-        None => im2col_3x3(x, w, p.stride, &mut out),
+        None => implicit_3x3(Build::detect(), x, w, p.stride, &mut out),
     }
     out
 }
 
-/// The f32 fast path: im2col, then [`gemm_blocked`], per batch item.
-fn im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, stride: usize, out: &mut Tensor<S>) {
+/// The f32 fast path: an implicit GEMM `out = W · X` per batch item,
+/// with `W` the `(O × C·9)` weight matrix and `X` the column matrix the
+/// input's windows would form, read from padded planes in place.
+///
+/// Padded coordinate `(py, px)` (the input's `(py − 1, px − 1)`, zero
+/// outside it) of channel `i` sits in phase plane
+/// `(i, py % stride, px % stride)` at `(py / stride, px / stride)`, each
+/// plane `qh × qw`. Tap `(ky, kx)` of output `(oy, ox)` reads padded
+/// `(oy·stride + ky, ox·stride + kx)`, i.e. word `taps[k] + oy·qw + ox`
+/// with `taps[k]` the tap's plane start plus `(ky / stride)·qw +
+/// kx / stride`, so consecutive output pixels read consecutive words.
+fn implicit_3x3<S: Scalar>(
+    build: Build,
+    x: &Tensor<S>,
+    w: &Tensor<S>,
+    stride: usize,
+    out: &mut Tensor<S>,
+) {
     let xs = x.shape();
     let os = out.shape();
-    let kdim = xs.c * 9; // GEMM K: taps per output, (i, ky, kx) order.
-    let nc = os.h * os.w; // GEMM N: output pixels of one plane.
-
-    // The packed column matrix is reused across batch items; batch-level
-    // parallelism lives a layer up (Engine::infer_batch), so packing
-    // sequentially here wastes nothing.
-    let mut cols = vec![S::ZERO; kdim * nc];
-    let build = Build::detect();
+    let (qh, qw) = ((xs.h + 1) / stride + 1, (xs.w + 1) / stride + 1);
+    let plane = qh * qw;
+    let taps: Vec<usize> = (0..xs.c * 9)
+        .map(|k| {
+            let (i, ky, kx) = (k / 9, k % 9 / 3, k % 3);
+            ((i * stride + ky % stride) * stride + kx % stride) * plane
+                + ky / stride * qw
+                + kx / stride
+        })
+        .collect();
+    let kdim = taps.len();
+    // The last run's junk lanes read up to `RUN - 1` words past the last
+    // plane; the 64-byte alignment is a measured speed-up (module docs).
+    let mut buf = vec![S::ZERO; xs.c * stride * stride * plane + RUN - 1 + ALIGN];
+    let at = buf.as_ptr().align_offset(64);
+    let xpad = &mut buf[if at < ALIGN { at } else { 0 }..];
     for n in 0..xs.n {
-        for i in 0..xs.c {
-            let xplane = x.plane(n, i);
-            for ky in 0..3 {
-                for kx in 0..3 {
-                    let row = (i * 9 + ky * 3 + kx) * nc;
-                    pack_row_3x3(
-                        &mut cols[row..row + nc],
-                        xplane,
-                        xs.h,
-                        xs.w,
-                        os.h,
-                        os.w,
-                        stride,
-                        ky,
-                        kx,
-                    );
+        // The borders stay zero; each item overwrites only the interior.
+        for (row, src) in x.item(n).chunks_exact(xs.w).enumerate() {
+            let (i, py) = (row / xs.h, row % xs.h + 1);
+            for px in 1..=stride {
+                // Padded columns `px, px + stride, …` of phase `px % stride`.
+                let start = ((i * stride + py % stride) * stride + px % stride) * plane
+                    + py / stride * qw
+                    + px / stride;
+                let dst = &mut xpad[start..];
+                for (d, &v) in dst.iter_mut().zip(src[px - 1..].iter().step_by(stride)) {
+                    *d = v;
                 }
             }
         }
-        gemm_blocked(build, w.as_slice(), &cols, kdim, out.item_mut(n));
+        let src = Planes {
+            xpad,
+            taps: &taps,
+            qw,
+            oh: os.h,
+            ow: os.w,
+        };
+        par::par_chunks_mut(
+            out.item_mut(n),
+            GEMM_MB * os.h * os.w,
+            kdim,
+            |blk, chunk| {
+                // The block's K-major panel: `panel[k][m]` is
+                // `W[blk·GEMM_MB + m][k]`; zero rows pad a ragged last block.
+                let mut panel = vec![[S::ZERO; GEMM_MB]; kdim];
+                let wrows = w.as_slice()[blk * GEMM_MB * kdim..].chunks_exact(kdim);
+                for (m, wrow) in wrows.take(GEMM_MB).enumerate() {
+                    for (p, &v) in panel.iter_mut().zip(wrow) {
+                        p[m] = v;
+                    }
+                }
+                implicit_rows_on(build, &panel, &src, chunk);
+            },
+        );
     }
 }
 
-/// The f32 fast path's register-tiled GEMM: `out = W · cols` for one
-/// batch item, with `W` the `(O × kdim)` weight matrix, `cols` the
-/// packed `(kdim × NC)` column matrix and `out` the item's `(O × NC)`
-/// output planes, on `build`.
-///
-/// Each `GEMM_MB × GEMM_NB` tile of outputs is computed by
-/// [`gemm_tile`], one `mac` chain per output in K order. A ragged last
-/// row block reads zero-padded weight panels and a ragged last pixel tile
-/// reads a zero-padded copy of its columns; the padded lanes' results
-/// are never written back.
-fn gemm_blocked<S: Scalar>(build: Build, wsl: &[S], cols: &[S], kdim: usize, oitem: &mut [S]) {
-    let nc = cols.len() / kdim;
-    // K-major weight panels, one per block of GEMM_MB output channels:
-    // `panels[blk·kdim + r][m]` is `W[blk·GEMM_MB + m][r]`.
-    let blocks = (oitem.len() / nc).div_ceil(GEMM_MB);
-    let mut panels = vec![[S::ZERO; GEMM_MB]; blocks * kdim];
-    for (m, wrow) in wsl.chunks_exact(kdim).enumerate() {
-        let panel = &mut panels[m / GEMM_MB * kdim..][..kdim];
-        for (p, &v) in panel.iter_mut().zip(wrow) {
-            p[m % GEMM_MB] = v;
-        }
-    }
-    let full = nc - nc % GEMM_NB;
-    let mut tail = vec![S::ZERO; if full < nc { kdim * GEMM_NB } else { 0 }];
-    for (t, crow) in tail.chunks_exact_mut(GEMM_NB).zip(cols.chunks_exact(nc)) {
-        t[..nc - full].copy_from_slice(&crow[full..]);
-    }
-    par::par_chunks_mut(oitem, GEMM_MB * nc, kdim, |blk, chunk| {
-        let panel = &panels[blk * kdim..(blk + 1) * kdim];
-        gemm_rows_on(build, panel, cols, &tail, nc, chunk);
-    });
+/// `buf` slack that lets the padded planes start on a 64-byte boundary.
+const ALIGN: usize = 16;
+
+/// Where the f32 core reads one batch item: the padded planes, the
+/// offset of each tap in the weights' K order, the planes' row pitch and
+/// the output extent (see [`implicit_3x3`]).
+struct Planes<'a, S> {
+    xpad: &'a [S],
+    taps: &'a [usize],
+    qw: usize,
+    oh: usize,
+    ow: usize,
 }
 
-/// [`gemm_rows`] on `build`: the AVX2 build where it was asked for and
-/// the CPU has AVX2, the baseline build otherwise.
+/// [`implicit_rows`] on `build`: the AVX2 build where it was asked for
+/// and the CPU has AVX2, the baseline build otherwise.
 #[allow(unsafe_code)]
-fn gemm_rows_on<S: Scalar>(
+fn implicit_rows_on<S: Scalar>(
     build: Build,
     panel: &[[S; GEMM_MB]],
-    cols: &[S],
-    tail: &[S],
-    nc: usize,
+    src: &Planes<'_, S>,
     chunk: &mut [S],
 ) {
     match build {
         #[cfg(target_arch = "x86_64")]
         Build::Avx2 if std::is_x86_feature_detected!("avx2") => {
-            // SAFETY: AVX2 is the only feature `gemm_rows_avx2` enables,
-            // and the CPU has it (checked by the guard just above).
-            unsafe { gemm_rows_avx2(panel, cols, tail, nc, chunk) }
+            // SAFETY: AVX2 is the only feature `implicit_rows_avx2`
+            // enables, and the CPU has it (checked by the guard just above).
+            unsafe { implicit_rows_avx2(panel, src, chunk) }
         }
-        _ => gemm_rows(panel, cols, tail, nc, chunk),
+        _ => implicit_rows(panel, src, chunk),
     }
 }
 
-/// The AVX2 build of [`gemm_rows`].
+/// The AVX2 build of [`implicit_rows`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn gemm_rows_avx2<S: Scalar>(
-    panel: &[[S; GEMM_MB]],
-    cols: &[S],
-    tail: &[S],
-    nc: usize,
-    chunk: &mut [S],
-) {
-    gemm_rows(panel, cols, tail, nc, chunk)
+fn implicit_rows_avx2<S: Scalar>(panel: &[[S; GEMM_MB]], src: &Planes<'_, S>, chunk: &mut [S]) {
+    implicit_rows(panel, src, chunk)
 }
 
-/// One block of [`gemm_blocked`]: the outputs `chunk` (up to `GEMM_MB`
-/// rows of `nc`) of the weight `panel`, tile by tile, the ragged last
-/// pixel tile read from `tail`.
+/// One block of the f32 core: the outputs `chunk` (up to `GEMM_MB`
+/// planes) of the weight `panel`, two runs per tile. A run is up to
+/// `RUN` pixels of one output row; the lanes past its end, and the
+/// second run of an odd last tile, are computed but never written back.
 #[inline(always)]
-fn gemm_rows<S: Scalar>(
-    panel: &[[S; GEMM_MB]],
-    cols: &[S],
-    tail: &[S],
-    nc: usize,
-    chunk: &mut [S],
-) {
-    let full = nc - nc % GEMM_NB;
-    for j0 in (0..nc).step_by(GEMM_NB) {
-        let acc = if j0 < full {
-            gemm_tile(panel, &cols[j0..], nc)
+fn implicit_rows<S: Scalar>(panel: &[[S; GEMM_MB]], src: &Planes<'_, S>, chunk: &mut [S]) {
+    let per_row = src.ow.div_ceil(RUN);
+    // Run `r`: its first word in a plane, its first output, its length.
+    let run = |r: usize| {
+        let (oy, ox) = (r / per_row, r % per_row * RUN);
+        (oy * src.qw + ox, oy * src.ow + ox, RUN.min(src.ow - ox))
+    };
+    let runs = src.oh * per_row;
+    for r in (0..runs).step_by(2) {
+        let lo = run(r);
+        let hi = if r + 1 < runs {
+            run(r + 1)
         } else {
-            gemm_tile(panel, tail, GEMM_NB)
+            (lo.0, 0, 0)
         };
-        let nb = GEMM_NB.min(nc - j0);
-        for (arow, orow) in acc.iter().zip(chunk.chunks_exact_mut(nc)) {
-            for (o, &a) in orow[j0..j0 + nb].iter_mut().zip(arow) {
-                *o = S::acc_finish(a);
+        let acc = implicit_tile(panel, src.taps, src.xpad, [lo.0, hi.0]);
+        for (arow, orow) in acc.iter().zip(chunk.chunks_exact_mut(src.oh * src.ow)) {
+            for ((_, at, len), a) in [lo, hi].into_iter().zip(arow.chunks_exact(RUN)) {
+                for (o, &v) in orow[at..at + len].iter_mut().zip(a) {
+                    *o = S::acc_finish(v);
+                }
             }
         }
     }
 }
 
-/// One register tile: `acc[m][j] = Σ_r panel[r][m]·x[r·stride + j]`,
-/// each output's `mac` chain running over `r` in order. The `GEMM_MB`
-/// weights of a tap share one `GEMM_NB`-wide load of its `x` row.
+/// One register tile: `acc[m][h·RUN + j] = Σ_k panel[k][m]·x[taps[k] +
+/// at[h] + j]`, each output's `mac` chain running over `k` in order. The
+/// `GEMM_MB` weights of a tap share its two `RUN`-wide loads.
 #[inline(always)]
-fn gemm_tile<S: Scalar>(
+fn implicit_tile<S: Scalar>(
     panel: &[[S; GEMM_MB]],
+    taps: &[usize],
     x: &[S],
-    stride: usize,
+    at: [usize; 2],
 ) -> [[S::Acc; GEMM_NB]; GEMM_MB] {
     let mut acc = [[S::acc_zero(); GEMM_NB]; GEMM_MB];
-    for (wk, xrow) in panel.iter().zip(x.chunks(stride)) {
-        let xk = xrow
-            .first_chunk::<GEMM_NB>()
-            .expect("every tile lies inside its column rows");
+    for (wk, &tap) in panel.iter().zip(taps) {
+        let load = |a: usize| {
+            x[tap + a..]
+                .first_chunk::<RUN>()
+                .expect("the planes' slack covers every run")
+        };
+        let (x0, x1) = (load(at[0]), load(at[1]));
         for (arow, &wv) in acc.iter_mut().zip(wk) {
-            for (a, &xv) in arow.iter_mut().zip(xk) {
+            let (a0, a1) = arow.split_at_mut(RUN);
+            for (a, &xv) in a0.iter_mut().zip(x0) {
+                *a = S::mac(*a, wv, xv);
+            }
+            for (a, &xv) in a1.iter_mut().zip(x1) {
                 *a = S::mac(*a, wv, xv);
             }
         }
@@ -988,56 +1034,6 @@ fn offset_binary_tile(w: &[u32], x: &[u32], kdim: usize) -> [[u64; TILE_NR]; TIL
     acc
 }
 
-/// Pack one im2col row: the values tap `(ky, kx)` reads for every output
-/// pixel, zero-filled where the tap falls in the padding border.
-///
-/// For output column `ox`, the tap reads
-/// `x[oy·stride + ky − 1][ox·stride + kx − 1]`. With pad 1 and
-/// `kx ∈ {0,1,2}` the in-bounds `ox` range is a single contiguous
-/// interval `[lo, hi)` computed up front, so the borders are bulk
-/// zero-fills and the interior is a straight copy (stride 1) or a
-/// strided gather (stride 2) — no per-element branches.
-#[allow(clippy::too_many_arguments)]
-fn pack_row_3x3<S: Scalar>(
-    dst: &mut [S],
-    xplane: &[S],
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    stride: usize,
-    ky: usize,
-    kx: usize,
-) {
-    // In-bounds ox interval: ox·stride + kx − 1 ∈ [0, w).
-    let lo = if kx == 0 { 1 } else { 0 };
-    let hi = if w < kx {
-        0
-    } else {
-        ow.min((w - kx) / stride + 1)
-    }
-    .max(lo);
-    let x0 = lo * stride + kx - 1; // first in-bounds x column
-    for oy in 0..oh {
-        let drow = &mut dst[oy * ow..(oy + 1) * ow];
-        let y = (oy * stride + ky) as isize - 1;
-        if y < 0 || y >= h as isize {
-            drow.fill(S::ZERO);
-            continue;
-        }
-        let xrow = &xplane[(y as usize) * w..(y as usize + 1) * w];
-        drow[..lo].fill(S::ZERO);
-        drow[hi..].fill(S::ZERO);
-        if stride == 1 {
-            drow[lo..hi].copy_from_slice(&xrow[x0..x0 + (hi - lo)]);
-        } else {
-            for (d, &v) in drow[lo..hi].iter_mut().zip(xrow[x0..].iter().step_by(2)) {
-                *d = v;
-            }
-        }
-    }
-}
-
 fn par_chunks_mut<S: Scalar>(
     t: &mut Tensor<S>,
     chunk: usize,
@@ -1192,26 +1188,31 @@ mod tests {
     }
 
     #[test]
-    fn f32_gemm_builds_agree_bit_for_bit() {
+    fn f32_core_builds_agree_bit_for_bit() {
         let mut next = words(1);
         let mut value = || (next() >> 40) as f32 / (1 << 23) as f32 - 1.0;
-        for kdim in [1, 9, 65, 585] {
-            // O % 4 != 0 and NC % 16 != 0: ragged row blocks and pixel tiles.
-            for (o, nc) in [(7, 37), (5, 19), (4, 16)] {
-                let w: Vec<f32> = (0..o * kdim).map(|_| value()).collect();
-                let cols: Vec<f32> = (0..kdim * nc).map(|_| value()).collect();
-                let out = both_builds("the f32 GEMM", |build| {
-                    let mut out = vec![0f32; o * nc];
-                    gemm_blocked(build, &w, &cols, kdim, &mut out);
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                });
-                // Each output is its own `acc + w·x` chain in K order.
-                for (m, orow) in out.chunks_exact(nc).enumerate() {
-                    for (j, &bits) in orow.iter().enumerate() {
-                        let chain =
-                            (0..kdim).fold(0f32, |a, k| a + w[m * kdim + k] * cols[k * nc + j]);
-                        assert_eq!(bits, chain.to_bits(), "kdim={kdim} o={o} nc={nc}");
-                    }
+        // kdim 9, 63 and 585; O % 4 != 0 gives ragged row blocks.
+        for (c, o) in [(1, 7), (7, 5), (65, 6)] {
+            // Output widths below, between and past one run of 8.
+            for ow in [1, 5, 7, 9, 13] {
+                for (stride, w) in [(1, ow), (2, 2 * ow - 1), (2, 2 * ow)] {
+                    let xs = Shape4::new(2, c, w % 5 + 2, w);
+                    let x = Tensor::<f32>::from_fn(xs, |_, _, _, _| value());
+                    let wt = Tensor::<f32>::from_fn(Shape4::new(o, c, 3, 3), |_, _, _, _| value());
+                    let p = Conv2dParams { stride, pad: 1 };
+                    let out = both_builds("the f32 core", |build| {
+                        let mut out = Tensor::<f32>::zeros(conv2d_out_shape(xs, wt.shape(), p));
+                        implicit_3x3(build, &x, &wt, stride, &mut out);
+                        out.as_slice()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>()
+                    });
+                    // Each output is its own `acc + w·x` chain in K order.
+                    let reference = conv2d_reference(&x, &wt, p);
+                    let reference: Vec<u32> =
+                        reference.as_slice().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(out, reference, "c={c} o={o} stride={stride} w={w}");
                 }
             }
         }
@@ -1466,7 +1467,7 @@ mod tests {
             for p in [Conv2dParams::same_3x3(), Conv2dParams::down_3x3()] {
                 let x = seq_tensor(Shape4::new(2, c, h, w), 0.13);
                 let wt = seq_tensor(Shape4::new(o, c, 3, 3), 0.07);
-                let fast = conv2d_im2col_3x3(&x, &wt, p);
+                let fast = conv2d_fast_3x3(&x, &wt, p);
                 let reference = conv2d_reference(&x, &wt, p);
                 assert_eq!(
                     fast.as_slice(),
@@ -1486,13 +1487,13 @@ mod tests {
             let xq: Tensor<Q20> = Tensor::from_f32_tensor(&x);
             let wq: Tensor<Q20> = Tensor::from_f32_tensor(&wt);
             assert_eq!(
-                conv2d_im2col_3x3(&xq, &wq, p).as_slice(),
+                conv2d_fast_3x3(&xq, &wq, p).as_slice(),
                 conv2d_reference(&xq, &wq, p).as_slice()
             );
             let x16: Tensor<Q16> = Tensor::from_f32_tensor(&x);
             let w16: Tensor<Q16> = Tensor::from_f32_tensor(&wt);
             assert_eq!(
-                conv2d_im2col_3x3(&x16, &w16, p).as_slice(),
+                conv2d_fast_3x3(&x16, &w16, p).as_slice(),
                 conv2d_reference(&x16, &w16, p).as_slice()
             );
         }

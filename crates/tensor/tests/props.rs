@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use qfixed::{Fix16, Q16, Q20};
 use tensor::conv::{
-    conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_im2col_3x3, conv2d_packed,
+    conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_fast_3x3, conv2d_packed,
     conv2d_reference, conv2d_winograd, Conv2dParams, ConvWeights,
 };
 use tensor::ops::{concat_time_channel, euler_step, relu, relu_backward, split_time_channel_grad};
@@ -273,7 +273,7 @@ proptest! {
     fn fast_conv_matches_reference_f32((x, w, p) in conv3x3_instance()) {
         // The im2col/GEMM path must be bit-identical to the scalar
         // reference on every geometry, including fully-padded 1×1 inputs.
-        let fast = conv2d_im2col_3x3(&x, &w, p);
+        let fast = conv2d_fast_3x3(&x, &w, p);
         let reference = conv2d_reference(&x, &w, p);
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
@@ -282,7 +282,7 @@ proptest! {
     fn fast_conv_matches_reference_q20((x, w, p) in conv3x3_instance()) {
         let xq: Tensor<Q20> = Tensor::from_f32_tensor(&x);
         let wq: Tensor<Q20> = Tensor::from_f32_tensor(&w);
-        let fast = conv2d_im2col_3x3(&xq, &wq, p);
+        let fast = conv2d_fast_3x3(&xq, &wq, p);
         let reference = conv2d_reference(&xq, &wq, p);
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
@@ -291,7 +291,7 @@ proptest! {
     fn fast_conv_matches_reference_q16((x, w, p) in conv3x3_instance()) {
         let xq: Tensor<Q16> = Tensor::from_f32_tensor(&x);
         let wq: Tensor<Q16> = Tensor::from_f32_tensor(&w);
-        let fast = conv2d_im2col_3x3(&xq, &wq, p);
+        let fast = conv2d_fast_3x3(&xq, &wq, p);
         let reference = conv2d_reference(&xq, &wq, p);
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
@@ -300,7 +300,7 @@ proptest! {
     fn fast_conv_matches_reference_fix16((x, w, p) in conv3x3_instance()) {
         let xq: Tensor<Fix16<10>> = Tensor::from_f32_tensor(&x);
         let wq: Tensor<Fix16<10>> = Tensor::from_f32_tensor(&w);
-        let fast = conv2d_im2col_3x3(&xq, &wq, p);
+        let fast = conv2d_fast_3x3(&xq, &wq, p);
         let reference = conv2d_reference(&xq, &wq, p);
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
     }
@@ -328,17 +328,17 @@ proptest! {
         // weights packed per call or once ahead of it. `Fix16<10>` reads
         // the high half of each pattern (`MIN`, `MAX` and `-1` stay
         // extreme); its sums never wrap, but saturate at write-back.
-        let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
+        let (fast, reference) = (conv2d_fast_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
         let packed = conv2d_packed(&x, &ConvWeights::new(w.clone(), p));
         prop_assert_eq!(packed.as_slice(), reference.as_slice());
         let q16 = |t: &Tensor<Q20>| t.map(|v| Q16::from_bits(v.to_bits()));
         let (x16, w16) = (q16(&x), q16(&w));
-        let (fast, reference) = (conv2d_im2col_3x3(&x16, &w16, p), conv2d_reference(&x16, &w16, p));
+        let (fast, reference) = (conv2d_fast_3x3(&x16, &w16, p), conv2d_reference(&x16, &w16, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
         let fix16 = |t: &Tensor<Q20>| t.map(|v| Fix16::<10>::from_bits((v.to_bits() >> 16) as i16));
         let (x, w) = (fix16(&x), fix16(&w));
-        let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
+        let (fast, reference) = (conv2d_fast_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
         let packed = conv2d_packed(&x, &ConvWeights::new(w.clone(), p));
         prop_assert_eq!(packed.as_slice(), reference.as_slice());

@@ -1,5 +1,5 @@
 //! Kernel oracle at the root: the fast conv, with its weights packed per
-//! call (`conv2d_im2col_3x3`) and once ahead of it (`conv2d_packed`, as
+//! call (`conv2d_fast_3x3`) and once ahead of it (`conv2d_packed`, as
 //! the quantized blocks hold them), must equal the scalar
 //! `conv2d_reference` bit for bit on every rODENet conv geometry, for the
 //! PS's f32, the PL's Q20, the reduced-range Q16 and the 16-bit
@@ -17,7 +17,7 @@
 
 use qfixed::{Fix16, Q16, Q20};
 use tensor::conv::{
-    conv2d_im2col_3x3, conv2d_packed, conv2d_reference, conv2d_winograd, Conv2dParams, ConvWeights,
+    conv2d_fast_3x3, conv2d_packed, conv2d_reference, conv2d_winograd, Conv2dParams, ConvWeights,
 };
 use tensor::{Scalar, Shape4, Tensor};
 
@@ -44,7 +44,7 @@ fn uniform(shape: Shape4, seed: u64) -> Tensor<f32> {
 }
 
 fn assert_fast_is_reference<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParams, what: &str) {
-    let fast = conv2d_im2col_3x3(x, w, p);
+    let fast = conv2d_fast_3x3(x, w, p);
     let reference = conv2d_reference(x, w, p);
     assert!(
         fast.as_slice() == reference.as_slice(),
@@ -173,6 +173,23 @@ fn fast_conv_is_bit_exact_on_the_stride2_downsample() {
     let x = uniform(Shape4::new(1, 32, 16, 16), 11);
     let w = uniform(Shape4::new(64, 32, 3, 3), 12);
     check_all_types(&x, &w, Conv2dParams::down_3x3(), "down3_1");
+}
+
+#[test]
+fn fast_conv_is_bit_exact_on_stride2_and_ragged_shapes() {
+    // Both downsample convs (16 → 32 on 32×32, 32 → 64 on 16×16), then a
+    // ragged geometry at both strides: O % 4 != 0 and output rows
+    // shorter than one 8-pixel run.
+    let down = [("down2_1", 16, 32, 32), ("down3_1", 32, 64, 16)];
+    for (i, (name, cin, cout, hw)) in down.into_iter().enumerate() {
+        let x = uniform(Shape4::new(1, cin, hw, hw), 31 + 2 * i as u64);
+        let w = uniform(Shape4::new(cout, cin, 3, 3), 32 + 2 * i as u64);
+        check_all_types(&x, &w, Conv2dParams::down_3x3(), name);
+    }
+    let x = uniform(Shape4::new(1, 5, 7, 7), 35);
+    let w = uniform(Shape4::new(6, 5, 3, 3), 36);
+    check_all_types(&x, &w, Conv2dParams::same_3x3(), "ragged 5->6 7x7 stride 1");
+    check_all_types(&x, &w, Conv2dParams::down_3x3(), "ragged 5->6 7x7 stride 2");
 }
 
 #[test]

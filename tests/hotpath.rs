@@ -1,4 +1,5 @@
-//! PS hot-path pins: the im2col/GEMM fast kernels must actually be fast,
+//! PS hot-path pins: the fast conv kernels (the f32 implicit GEMM and the
+//! fixed-point offset-binary core) must actually be fast,
 //! and nothing about threading may change the numbers.
 //!
 //! * `fast_path_speedup_…` — batch-32 ODENet-20 on the pure-software

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests pinning every *exactly reproducible*
 //! number in the paper, plus the within-rounding Table 5 cells.
-//! EXPERIMENTS.md cites this file as the machine-checked record.
+//! README's "Reproduction status" cites this file as the machine-checked
+//! record.
 
 use odenet_suite::prelude::*;
 use rodenet::params::{block_kb, reduction_vs_resnet, spec_params};
